@@ -1,8 +1,9 @@
-"""Benchmark the hot kernels: numba loops vs the vectorized numpy fallback.
+"""Benchmark the hot path: the log-density+gradient kernel and a whole
+leapfrog trajectory through the sampler's integrator.
 
-Times the log-density+gradient kernel and the whole-trajectory integrator
-at representative problem sizes (training windows of 360 days, modeling
-windows of 1000, the full ten-year span of 3600).
+Times both at representative problem sizes (training windows of 360 days,
+modeling windows of 1000, the full ten-year span of 3600), for the
+baseline design (k=0) and the exogenous one (k=5).
 
 Usage:
     python benchmarks/bench_kernels.py [--reps 200] [--sizes 360,1000,3600]
@@ -14,10 +15,11 @@ import time
 import numpy as np
 
 from spotvol import kernels
+from spotvol.hmc import _leapfrog
 
 
 def time_callable(fn, reps):
-    fn()  # warm (JIT compile on the numba path)
+    fn()  # warm
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
@@ -27,51 +29,33 @@ def time_callable(fn, reps):
     return best
 
 
-def bench_logp(T, k, reps):
-    rng = np.random.default_rng(0)
+def problem(T, k, seed):
+    rng = np.random.default_rng(seed)
     y = 1000 + 5 * rng.standard_normal(T)
     ybar = float(y.mean())
     Z = np.ascontiguousarray(rng.standard_normal((T, k)))
     dim = 3 + (k + 1 if k else 0) + T
     theta = 0.3 * rng.standard_normal(dim)
+    return rng, y, ybar, Z, dim, theta
 
-    rows = []
-    t_np = time_callable(lambda: kernels.sv_logp_grad_numpy(theta, y, ybar, Z),
-                         reps)
-    rows.append(("numpy", t_np))
-    if kernels.sv_logp_grad_numba is not None:
-        t_nb = time_callable(
-            lambda: kernels.sv_logp_grad_numba(theta, y, ybar, Z), reps)
-        rows.append(("numba", t_nb))
-    return rows
+
+def bench_logp(T, k, reps):
+    _, y, ybar, Z, _, theta = problem(T, k, 0)
+    return time_callable(lambda: kernels.sv_logp_grad(theta, y, ybar, Z), reps)
 
 
 def bench_trajectory(T, k, n_steps, reps):
-    rng = np.random.default_rng(1)
-    y = 1000 + 5 * rng.standard_normal(T)
-    ybar = float(y.mean())
-    Z = np.ascontiguousarray(rng.standard_normal((T, k)))
-    dim = 3 + (k + 1 if k else 0) + T
-    theta = 0.3 * rng.standard_normal(dim)
+    rng, y, ybar, Z, dim, theta = problem(T, k, 1)
     p = rng.standard_normal(dim)
     inv_mass = np.ones(dim)
-    _, grad = kernels.sv_logp_grad_numpy(theta, y, ybar, Z)
 
-    rows = []
-    t_np = time_callable(
-        lambda: kernels.sv_trajectory_numpy(theta, p, grad, 1e-3, n_steps,
-                                            inv_mass, y, ybar, Z), reps)
-    rows.append(("numpy", t_np))
-    if kernels.sv_trajectory_numba is not None:
-        t_nb = time_callable(
-            lambda: kernels.sv_trajectory_numba(theta, p, grad, 1e-3, n_steps,
-                                                inv_mass, y, ybar, Z), reps)
-        rows.append(("numba", t_nb))
-    return rows
+    def logp_grad(th):
+        return kernels.sv_logp_grad(th, y, ybar, Z)
 
-
-def fmt(seconds):
-    return f"{seconds * 1e6:10.1f} us"
+    _, grad = logp_grad(theta)
+    return time_callable(
+        lambda: _leapfrog(logp_grad, theta, p, grad, 1e-3, n_steps, inv_mass),
+        reps)
 
 
 def main():
@@ -82,24 +66,17 @@ def main():
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    print(f"active path: {kernels.ACTIVE_PATH}")
-    print(f"{'kernel':26s} {'T':>5s} {'k':>2s} "
-          f"{'numpy':>13s} {'numba':>13s} {'speedup':>8s}")
+    print(f"{'kernel':26s} {'T':>5s} {'k':>2s} {'time':>13s} {'per grad':>13s}")
     for T in sizes:
         for k in (0, 5):
-            for label, rows in (
-                ("logp+grad", bench_logp(T, k, args.reps)),
-                (f"trajectory({args.leapfrog})",
+            for label, n_grads, seconds in (
+                ("logp+grad", 1, bench_logp(T, k, args.reps)),
+                (f"trajectory({args.leapfrog})", args.leapfrog,
                  bench_trajectory(T, k, args.leapfrog,
                                   max(1, args.reps // 10))),
             ):
-                times = dict(rows)
-                np_t = times["numpy"]
-                nb_t = times.get("numba")
-                speed = f"{np_t / nb_t:7.1f}x" if nb_t else "      --"
-                nb_s = fmt(nb_t) if nb_t else "           --"
-                print(f"{label:26s} {T:5d} {k:2d} {fmt(np_t):>13s} "
-                      f"{nb_s:>13s} {speed:>8s}")
+                print(f"{label:26s} {T:5d} {k:2d} {seconds * 1e6:10.1f} us "
+                      f"{seconds / n_grads * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":

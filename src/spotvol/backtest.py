@@ -2,16 +2,16 @@
 rolling one-day-ahead forecasting, with a rank-sum comparison of the two
 model families.
 
-Fold tasks are independent; they run on a thread pool with per-task RNG
-substreams, and failures are recorded per fold rather than aborting the
-run (a full grid is 8 combinations x 36 folds of MCMC fits).
+Fold tasks are independent and run one after another, each with its own
+RNG substreams, so a fold's result does not depend on the others. A fold
+that fails, whether with a spotvol error or a numeric one, is recorded
+and the run goes on (a full grid is 8 combinations x 36 folds of MCMC
+fits).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,12 +104,21 @@ class CvSummary:
 
 @dataclass
 class BacktestConfig:
+    """Sampler and forecast settings of every fold fit; ``max_workers`` is
+    accepted and ignored (folds run serially) so that existing configs keep
+    loading."""
+
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     n_draws: int = 1000
     mode: PpdMode = PpdMode.POINT_ESTIMATE
     vol_mode: VolMode = VolMode.PROPAGATE
     max_workers: int | None = None
     mwu_exact_threshold: int = 12
+
+
+# errors that fail one fold but not the grid; ValueError covers
+# np.linalg.LinAlgError, ArithmeticError covers FloatingPointError
+_FOLD_ERRORS = (SpotvolError, ArithmeticError, ValueError)
 
 
 def _run_fold(combo: CvCombination, fold, fold_id: int, cfg: BacktestConfig,
@@ -157,31 +166,19 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
     tasks = [(ci, fi) for ci in range(len(combos)) for fi in range(len(plan))]
     seeds = np.random.SeedSequence(seed).spawn(2 * len(tasks))
 
-    def run(task_idx):
-        ci, fi = tasks[task_idx]
+    reports = {c.model_id: [] for c in combos}
+    failures = {c.model_id: [] for c in combos}
+    for task_idx, (ci, fi) in enumerate(tasks):
         combo = combos[ci]
         fit_seed = int(seeds[2 * task_idx].generate_state(1)[0])
         fc_seed = int(seeds[2 * task_idx + 1].generate_state(1)[0])
         try:
-            return _run_fold(combo, plan.folds[fi], fi, cfg, fit_seed, fc_seed)
-        except SpotvolError as exc:
-            return (combo.model_id, fi, f"{type(exc).__name__}: {exc}")
-
-    workers = cfg.max_workers or (os.cpu_count() or 4)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(len(tasks))))
-    else:
-        results = [run(i) for i in range(len(tasks))]
-
-    reports = {c.model_id: [] for c in combos}
-    failures = {c.model_id: [] for c in combos}
-    for res in results:
-        if isinstance(res, MetricReport):
-            reports[res.model_id].append(res)
+            rep = _run_fold(combo, plan.folds[fi], fi, cfg, fit_seed, fc_seed)
+        except _FOLD_ERRORS as exc:
+            failures[combo.model_id].append(
+                (fi, f"{type(exc).__name__}: {exc}"))
         else:
-            mid, fi, msg = res
-            failures[mid].append((fi, msg))
+            reports[combo.model_id].append(rep)
 
     aggregates = {}
     for mid, reps in reports.items():

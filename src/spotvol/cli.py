@@ -31,7 +31,13 @@ from .errors import (
 from .hmc import sample
 from .ingest import export_hourly, load_prices, load_weather, synthesize
 from .interpret import pd_ice, residual_report
-from .models import BaselineSvModel, SvxModel, raw_coefficients
+from .models import (
+    COEF_NAMES,
+    SCALAR_NAMES_BASE,
+    BaselineSvModel,
+    SvxModel,
+    raw_coefficients,
+)
 from .posterior import PosteriorFit
 from .predictive import forecast, ppd_insample, volatility_path
 from .series import ExogenousFrame, Zone, build_folds, hourly_profile, select_hour
@@ -39,8 +45,7 @@ from .stats import adf_test, kmeans2, pacf, polyfit_cubic
 
 log = logging.getLogger("spotvol")
 
-SCALAR_PARAMS = ("mu", "phi", "sigma", "alpha", "beta1", "beta2", "beta3",
-                 "gamma", "xi")
+SCALAR_PARAMS = SCALAR_NAMES_BASE + COEF_NAMES
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -3,15 +3,14 @@
 Fixed-length leapfrog trajectories with a small deterministic step-size
 jitter, dual-averaging step-size adaptation toward a target acceptance
 rate, and windowed diagonal mass-matrix estimation during warmup. Chains
-run on a thread pool (the jitted kernels release the GIL) and each owns an
-independent RNG substream, so results do not depend on scheduling.
+run one after another in the calling thread: the numpy kernel holds the
+GIL, so a thread pool only adds contention. Each chain owns an independent
+RNG substream and a fixed output slot.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,9 @@ RHAT_WARN = 1.05
 
 @dataclass
 class SamplerConfig:
+    """HMC settings; ``max_workers`` is accepted and ignored (chains run
+    serially) so that existing configs keep loading."""
+
     n_chains: int = 4
     warmup: int = 1000
     draws: int = 1000          # kept per chain
@@ -82,13 +84,16 @@ class _DualAveraging:
 
 
 def _leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
+    """n_steps leapfrog steps from (theta, p); the inputs are left intact."""
+    theta = theta.copy()
+    step = eps * inv_mass
     p = p + 0.5 * eps * grad
-    for step in range(n_steps):
-        theta = theta + eps * inv_mass * p
+    for i in range(n_steps):
+        theta += step * p
         lp, grad = logp_grad(theta)
-        if step < n_steps - 1:
-            p = p + eps * grad
-    p = p + 0.5 * eps * grad
+        if i < n_steps - 1:
+            p += eps * grad
+    p += 0.5 * eps * grad
     return theta, p, lp, grad
 
 
@@ -150,20 +155,14 @@ def _run_chain(model, cfg: SamplerConfig, seed_seq):
         cfg.warmup, cfg.init_buffer, cfg.term_buffer, cfg.base_window)
     window_draws = []
 
-    trajectory = getattr(model, "trajectory", None)
-
     def one_step(theta, lp, grad, eps_now):
         jitter = 1.0 + cfg.step_jitter * (2.0 * rng.random() - 1.0)
         eps_j = eps_now * jitter
         p0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
         h0 = -lp + 0.5 * float(np.dot(p0 * p0, inv_mass))
-        if trajectory is not None:
-            theta1, p1, lp1, grad1 = trajectory(
-                theta, p0, grad, eps_j, cfg.leapfrog_steps, inv_mass)
-        else:
-            theta1, p1, lp1, grad1 = _leapfrog(
-                model.logp_grad, theta, p0, grad, eps_j,
-                cfg.leapfrog_steps, inv_mass)
+        theta1, p1, lp1, grad1 = _leapfrog(
+            model.logp_grad, theta, p0, grad, eps_j, cfg.leapfrog_steps,
+            inv_mass)
         h1 = -lp1 + 0.5 * float(np.dot(p1 * p1, inv_mass))
         delta = h1 - h0
         divergent = (not math.isfinite(delta)) or delta > DIVERGENCE_ENERGY
@@ -177,33 +176,32 @@ def _run_chain(model, cfg: SamplerConfig, seed_seq):
             return theta1, lp1, grad1, accept_prob, False
         return theta, lp, grad, accept_prob, divergent
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, cfg.warmup + 1):
-            theta, lp, grad, aprob, _ = one_step(theta, lp, grad, da.eps)
-            da.update(aprob)
-            if m > init_buf and (not window_ends or m <= window_ends[-1]):
-                window_draws.append(theta.copy())
-            if window_ends and m == window_ends[0]:
-                window_ends.pop(0)
-                draws_arr = np.asarray(window_draws)
-                if len(draws_arr) >= 10:
-                    n = len(draws_arr)
-                    var = draws_arr.var(axis=0, ddof=1)
-                    inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
-                window_draws = []
-                eps = _find_initial_step(
-                    model.logp_grad, theta, lp, grad, inv_mass, rng)
-                da = _DualAveraging(eps, cfg.target_accept)
+    for m in range(1, cfg.warmup + 1):
+        theta, lp, grad, aprob, _ = one_step(theta, lp, grad, da.eps)
+        da.update(aprob)
+        if m > init_buf and (not window_ends or m <= window_ends[-1]):
+            window_draws.append(theta.copy())
+        if window_ends and m == window_ends[0]:
+            window_ends.pop(0)
+            draws_arr = np.asarray(window_draws)
+            if len(draws_arr) >= 10:
+                n = len(draws_arr)
+                var = draws_arr.var(axis=0, ddof=1)
+                inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
+            window_draws = []
+            eps = _find_initial_step(
+                model.logp_grad, theta, lp, grad, inv_mass, rng)
+            da = _DualAveraging(eps, cfg.target_accept)
 
-        eps_final = da.eps_averaged
-        kept = np.empty((cfg.draws, len(model.param_names)))
-        divergences = 0
-        accept_sum = 0.0
-        for i in range(cfg.draws):
-            theta, lp, grad, aprob, div = one_step(theta, lp, grad, eps_final)
-            divergences += int(div)
-            accept_sum += aprob
-            kept[i] = model.transform(theta)
+    eps_final = da.eps_averaged
+    kept = np.empty((cfg.draws, len(model.param_names)))
+    divergences = 0
+    accept_sum = 0.0
+    for i in range(cfg.draws):
+        theta, lp, grad, aprob, div = one_step(theta, lp, grad, eps_final)
+        divergences += int(div)
+        accept_sum += aprob
+        kept[i] = model.transform(theta)
 
     stats = {
         "step_size": eps_final,
@@ -216,18 +214,14 @@ def _run_chain(model, cfg: SamplerConfig, seed_seq):
 def sample(model, cfg: SamplerConfig, seed: int) -> PosteriorFit:
     """Run HMC chains and assemble a PosteriorFit.
 
-    Deterministic for fixed (model, cfg, seed) regardless of scheduling:
-    every chain owns a spawned RNG substream and a fixed output slot.
+    Deterministic for fixed (model, cfg, seed): every chain owns a spawned
+    RNG substream and a fixed output slot.
     """
     cfg.validate()
     seeds = np.random.SeedSequence(seed).spawn(cfg.n_chains)
-
-    workers = cfg.max_workers or min(cfg.n_chains, os.cpu_count() or 4)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _run_chain(model, cfg, s), seeds))
-    else:
+    # far-tail proposals overflow exp() in the kernel; the sampler rejects
+    # them as divergent, so the warnings would carry no information
+    with np.errstate(over="ignore", invalid="ignore"):
         results = [_run_chain(model, cfg, s) for s in seeds]
 
     per_chain = np.stack([kept for kept, _ in results])   # (chains, draws, p)

@@ -1,15 +1,10 @@
-"""Log-posterior and gradient kernels for the latent-volatility models.
+"""Log-posterior and gradient kernel for the latent-volatility models.
 
 This is the hot path: one evaluation per leapfrog step, hundreds of
-thousands per fit. Two interchangeable implementations are provided:
-
-* a numba ``@njit`` loop version (default when numba imports cleanly), and
-* a vectorized numpy/scipy fallback built on ``lfilter`` for the AR(1)
-  forward and adjoint recursions.
-
-Set ``SPOTVOL_NO_NUMBA=1`` to force the fallback. ``ACTIVE_PATH`` records
-which one is in use; both are importable for the benchmark and for
-cross-checking tests.
+thousands per fit. The kernel is vectorized numpy, with the AR(1) forward
+and adjoint recursions done by scipy ``lfilter``; it allocates as few
+temporaries as it can and sets no floating-point error state of its own
+(the sampler silences overflow once per chain).
 
 Parameter vector layout (unconstrained scale), with T latent days and a
 design matrix of k columns (k = 0 for the baseline model):
@@ -33,159 +28,69 @@ the k > 0 density with all coefficients at zero agree bit for bit.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.signal import lfilter
 
 __all__ = [
-    "ACTIVE_PATH",
     "sv_logp_grad",
     "sv_logp_grad_numpy",
-    "sv_logp_grad_numba",
-    "sv_trajectory",
-    "sv_trajectory_numpy",
-    "sv_trajectory_numba",
     "sv_h_path",
     "EMPTY_DESIGN",
 ]
 
 EMPTY_DESIGN = np.zeros((0, 0))
+_ONE = np.ones(1)
 
 
-def _sv_logp_grad_loops(theta, y, ybar, Z):
-    T = y.shape[0]
-    k = Z.shape[1]
-    n_coef = k + 1 if k > 0 else 0
-    off = 3 + n_coef
-
-    grad = np.zeros(theta.shape[0])
-    mu = theta[0]
-    phi = math.tanh(theta[1])
-    sigma = math.exp(theta[2])
-    f2 = 1.0 - phi * phi
-    # saturated transforms (|phi_raw| or sigma_raw far out) have zero density
-    if f2 <= 0.0 or not np.isfinite(sigma) or sigma <= 0.0:
-        return -np.inf, grad
-    f = math.sqrt(f2)
-    h = np.empty(T)
-    e = np.empty(T)   # d logp / d mean_t
-    g = np.empty(T)   # d logp / d h_t (direct)
-
-    lp = 0.0
-    hprev = 0.0
-    for t in range(T):
-        if t == 0:
-            h_t = mu + sigma * theta[off] / f
-        else:
-            h_t = mu + phi * (hprev - mu) + sigma * theta[off + t]
-        h[t] = h_t
-        hprev = h_t
-
-        m_t = ybar
-        for j in range(k):
-            m_t += theta[3 + j] * Z[t, j]
-        if k > 0:
-            m_t += theta[3 + k]
-        r = y[t] - m_t
-        inv_var = math.exp(-h_t)
-        q = r * r * inv_var
-        lp += -0.5 * h_t - 0.5 * q
-        e[t] = r * inv_var
-        g[t] = -0.5 + 0.5 * q
-
-    # adjoint of the h recursion
-    abar = 0.0
-    dmu_tail = 0.0
-    dphi = 0.0
-    ds_data = 0.0
-    for t in range(T - 1, 0, -1):
-        abar = g[t] + phi * abar
-        dmu_tail += abar
-        dphi += abar * (h[t - 1] - mu)
-        ds_data += abar * theta[off + t]
-        grad[off + t] = sigma * abar - theta[off + t]
-        lp += -0.5 * theta[off + t] * theta[off + t]
-    abar0 = g[0] + phi * abar
-    grad[off] = sigma * abar0 / f - theta[off]
-    lp += -0.5 * theta[off] * theta[off]
-
-    dmu = abar0 + (1.0 - phi) * dmu_tail
-    dphi += abar0 * sigma * theta[off] * phi / (f * f * f)
-    ds_data = sigma * (ds_data + abar0 * theta[off] / f)
-
-    # priors and transform Jacobians
-    lp += -math.log1p(mu * mu / 100.0)
-    dmu += -2.0 * mu / (100.0 + mu * mu)
-    lp += -math.log1p(sigma * sigma / 25.0) + theta[2]
-    ds = ds_data - 2.0 * sigma * sigma / (25.0 + sigma * sigma) + 1.0
-    lp += math.log1p(-phi * phi)
-    dp = dphi * (1.0 - phi * phi) - 2.0 * phi
-
-    for j in range(k):
-        w = theta[3 + j]
-        lp += -w * w / 200.0
-        dw = -w / 100.0
-        for t in range(T):
-            dw += e[t] * Z[t, j]
-        grad[3 + j] = dw
-    if k > 0:
-        xi = theta[3 + k]
-        lp += -xi * xi / 200.0
-        dxi = -xi / 100.0
-        for t in range(T):
-            dxi += e[t]
-        grad[3 + k] = dxi
-
-    grad[0] = dmu
-    grad[1] = dp
-    grad[2] = ds
-    return lp, grad
+def _h_from_u(mu, phi, sigma, f, u):
+    """AR(1) log-volatility path from standardized innovations u."""
+    h = sigma * u
+    h[0] = sigma * u[0] / f
+    h = lfilter(_ONE, [1.0, -phi], h)
+    h += mu
+    return h
 
 
 def sv_logp_grad_numpy(theta, y, ybar, Z):
-    """Vectorized fallback; AR(1) recursions go through scipy lfilter."""
-    T = y.shape[0]
+    """Log posterior density and its gradient on the unconstrained scale."""
     k = Z.shape[1]
-    n_coef = k + 1 if k > 0 else 0
-    off = 3 + n_coef
+    off = 3 + (k + 1 if k > 0 else 0)
 
     mu = theta[0]
     phi = math.tanh(theta[1])
-    with np.errstate(over="ignore"):
-        sigma = float(np.exp(theta[2]))
+    sigma = float(np.exp(theta[2]))
     f2 = 1.0 - phi * phi
-    if f2 <= 0.0 or not np.isfinite(sigma) or sigma <= 0.0:
+    if f2 <= 0.0 or not math.isfinite(sigma) or sigma <= 0.0:
         return -np.inf, np.zeros(theta.shape[0])
     f = math.sqrt(f2)
     u = theta[off:]
-
-    x = sigma * u
-    x0 = x.copy()
-    x0[0] = sigma * u[0] / f
-    h = mu + lfilter([1.0], [1.0, -phi], x0)
+    h = _h_from_u(mu, phi, sigma, f, u)
 
     if k > 0:
-        w = theta[3:3 + k]
-        m = ybar + Z @ w + theta[3 + k]
+        r = y - (ybar + Z @ theta[3:3 + k] + theta[3 + k])
     else:
-        m = np.full(T, ybar)
-    r = y - m
-    with np.errstate(over="ignore", under="ignore"):
-        inv_var = np.exp(-h)
-    q = r * r * inv_var
-    e = r * inv_var
-    g = -0.5 + 0.5 * q
+        r = y - ybar
+    inv_var = np.negative(h)
+    np.exp(inv_var, out=inv_var)
+    half_q = r * r
+    half_q *= inv_var
+    half_q *= 0.5
+    terms = h * -0.5
+    terms -= half_q
+    lp = float(terms.sum() - 0.5 * np.dot(u, u))
 
-    lp = float(np.sum(-0.5 * h - 0.5 * q) - 0.5 * np.dot(u, u))
-
-    abar = lfilter([1.0], [1.0, -phi], g[::-1])[::-1]
+    g = half_q                      # d logp / d h_t, direct term
+    g -= 0.5
+    abar = lfilter(_ONE, [1.0, -phi], g[::-1])[::-1]
 
     grad = np.empty(theta.shape[0])
-    grad[off:] = sigma * abar - u
+    grad_u = grad[off:]
+    np.multiply(abar, sigma, out=grad_u)
+    grad_u -= u
     grad[off] = sigma * abar[0] / f - u[0]
 
-    dmu = abar[0] + (1.0 - phi) * float(np.sum(abar[1:]))
+    dmu = abar[0] + (1.0 - phi) * float(abar[1:].sum())
     dphi = float(np.dot(abar[1:], h[:-1] - mu))
     dphi += abar[0] * sigma * u[0] * phi / (f * f * f)
     ds_data = sigma * (float(np.dot(abar[1:], u[1:])) + abar[0] * u[0] / f)
@@ -198,12 +103,14 @@ def sv_logp_grad_numpy(theta, y, ybar, Z):
     dp = dphi * (1.0 - phi * phi) - 2.0 * phi
 
     if k > 0:
+        e = r                       # d logp / d mean_t
+        e *= inv_var
         w = theta[3:3 + k]
         lp += float(-np.dot(w, w) / 200.0)
         grad[3:3 + k] = Z.T @ e - w / 100.0
         xi = theta[3 + k]
         lp += -xi * xi / 200.0
-        grad[3 + k] = float(np.sum(e)) - xi / 100.0
+        grad[3 + k] = float(e.sum()) - xi / 100.0
 
     grad[0] = dmu
     grad[1] = dp
@@ -211,87 +118,10 @@ def sv_logp_grad_numpy(theta, y, ybar, Z):
     return lp, grad
 
 
-def _h_path_numpy(mu, phi, sigma, u):
-    f = math.sqrt(1.0 - phi * phi)
-    x = sigma * np.asarray(u, dtype=np.float64)
-    x0 = x.copy()
-    x0[0] = sigma * u[0] / f
-    return mu + lfilter([1.0], [1.0, -phi], x0)
+def sv_h_path(mu, phi, sigma, u):
+    """Latent log-volatility path h for one parameter draw."""
+    return _h_from_u(mu, phi, sigma, math.sqrt(1.0 - phi * phi),
+                     np.asarray(u, dtype=np.float64))
 
 
-def _h_path_loops(mu, phi, sigma, u):
-    T = u.shape[0]
-    f = math.sqrt(1.0 - phi * phi)
-    h = np.empty(T)
-    h[0] = mu + sigma * u[0] / f
-    for t in range(1, T):
-        h[t] = mu + phi * (h[t - 1] - mu) + sigma * u[t]
-    return h
-
-
-def sv_trajectory_numpy(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z):
-    """Full leapfrog trajectory for the SV kernels, fallback path."""
-    th = theta.copy()
-    pp = p + 0.5 * eps * grad
-    g = grad
-    lp = -np.inf
-    for step in range(n_steps):
-        th = th + eps * inv_mass * pp
-        lp, g = sv_logp_grad_numpy(th, y, ybar, Z)
-        if step < n_steps - 1:
-            pp = pp + eps * g
-    pp = pp + 0.5 * eps * g
-    return th, pp, lp, g
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("SPOTVOL_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-sv_logp_grad_numba = None
-sv_trajectory_numba = None
-_h_path_numba = None
-if _want_numba():
-    try:
-        import numba
-
-        sv_logp_grad_numba = numba.njit(
-            cache=True, nogil=True, error_model="numpy")(_sv_logp_grad_loops)
-        _h_path_numba = numba.njit(
-            cache=True, nogil=True, error_model="numpy")(_h_path_loops)
-
-        @numba.njit(cache=True, nogil=True, error_model="numpy")
-        def _sv_trajectory_jit(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z):
-            dim = theta.shape[0]
-            th = theta.copy()
-            pp = np.empty(dim)
-            for i in range(dim):
-                pp[i] = p[i] + 0.5 * eps * grad[i]
-            g = grad.copy()
-            lp = -np.inf
-            for step in range(n_steps):
-                for i in range(dim):
-                    th[i] += eps * inv_mass[i] * pp[i]
-                lp, g = sv_logp_grad_numba(th, y, ybar, Z)
-                if step < n_steps - 1:
-                    for i in range(dim):
-                        pp[i] += eps * g[i]
-            for i in range(dim):
-                pp[i] += 0.5 * eps * g[i]
-            return th, pp, lp, g
-
-        sv_trajectory_numba = _sv_trajectory_jit
-    except ImportError:  # pragma: no cover
-        sv_logp_grad_numba = None
-
-if sv_logp_grad_numba is not None:
-    ACTIVE_PATH = "numba"
-    sv_logp_grad = sv_logp_grad_numba
-    sv_trajectory = sv_trajectory_numba
-    sv_h_path = _h_path_numba
-else:
-    ACTIVE_PATH = "numpy"
-    sv_logp_grad = sv_logp_grad_numpy
-    sv_trajectory = sv_trajectory_numpy
-    sv_h_path = _h_path_numpy
+sv_logp_grad = sv_logp_grad_numpy

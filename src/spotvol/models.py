@@ -1,9 +1,9 @@
 """Latent-volatility model objects: data binding, transforms, priors.
 
-The models own their training data by value and are immutable, so chain
-workers can evaluate them concurrently. Gradients are analytic (see
-kernels); transforms map the unconstrained sampling scale to the
-constrained reporting scale.
+The models own their training data by value and are never mutated after
+construction, so one model serves every chain of a fit. Gradients are
+analytic (see kernels); transforms map the unconstrained sampling scale to
+the constrained reporting scale.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ class BaselineSvModel:
 
     def logp_grad(self, theta):
         return kernels.sv_logp_grad(theta, self.y, self.ybar, self.design)
-
-    def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
-        """Whole leapfrog trajectory in one kernel call (hot path)."""
-        return kernels.sv_trajectory(theta, p, grad, eps, n_steps, inv_mass,
-                                     self.y, self.ybar, self.design)
 
     def initial_position(self, rng) -> np.ndarray:
         theta = np.zeros(self.dim)

@@ -153,6 +153,68 @@ def test_cross_validate_records_failures():
     assert summary.aggregates[mid]["n_folds"] == 1
 
 
+def test_cross_validate_isolates_numeric_fold_errors(monkeypatch):
+    # the svx fits raise the numeric errors an MCMC fit can hit; each fold
+    # is recorded as a typed failure and the baseline folds still report
+    import spotvol.backtest as bt
+    from tests.conftest import degenerate_fit
+
+    _, _, truth = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
+                                       n_days=121, mean_price=1000.0, seed=4))
+    frame = ExogenousFrame.from_daily(truth.daily_prices, truth.daily_temps)
+    y = truth.daily_prices.window(1, 121)
+    plan = build_folds(len(y), 60, 20)
+    assert len(plan) == 3
+    errors = [FloatingPointError("overflow encountered in exp"),
+              np.linalg.LinAlgError("Singular matrix"),
+              ValueError("array must not contain infs or NaNs")]
+
+    def flaky_sample(model, cfg, seed):
+        if model.kind == "svx":
+            fold = int(np.searchsorted(y.dates, model.dates[0])) // 20
+            raise errors[fold]
+        return degenerate_fit(model)
+
+    monkeypatch.setattr(bt, "sample", flaky_sample)
+    combos = [CvCombination("baseline", 14, 1, y, exog=frame),
+              CvCombination("svx", 14, 1, y, exog=frame)]
+    cfg = BacktestConfig(sampler=fast_sampler(), n_draws=50)
+    summary = cross_validate(combos, plan, cfg, seed=6)
+
+    assert summary.failures["svx-h14-z1"] == [
+        (0, "FloatingPointError: overflow encountered in exp"),
+        (1, "LinAlgError: Singular matrix"),
+        (2, "ValueError: array must not contain infs or NaNs")]
+    assert summary.aggregates["svx-h14-z1"]["n_folds"] == 0
+    assert not summary.failures["baseline-h14-z1"]
+    assert [r.fold_id for r in summary.reports["baseline-h14-z1"]] == [0, 1, 2]
+    assert summary.mwu["mae"] is None
+
+    # a programming error is not a fold failure: it still propagates
+    def broken_sample(model, cfg, seed):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(bt, "sample", broken_sample)
+    with pytest.raises(TypeError):
+        cross_validate(combos, plan, cfg, seed=6)
+
+
+def test_cross_validate_max_workers_is_ignored():
+    _, _, truth = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
+                                       n_days=100, mean_price=1000.0, seed=9))
+    y = truth.daily_prices
+    plan = build_folds(len(y), 60, 20)
+    combos = [CvCombination("baseline", hour=14, zone=1, series=y)]
+    summaries = [
+        cross_validate(combos, plan,
+                       BacktestConfig(sampler=fast_sampler(max_workers=mw),
+                                      n_draws=200, max_workers=mw),
+                       seed=4).to_json_dict()
+        for mw in (None, 1, 2)]
+    assert len(summaries[0]["reports"]["baseline-h14-z1"]) == 2
+    assert summaries[0] == summaries[1] == summaries[2]
+
+
 def test_cross_validate_short_series_rejected():
     truth, y, frame = _cv_material()
     plan = build_folds(len(y), 360, 90)

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from spotvol import BaselineSvModel, rhat, sample, split_rhat
+from spotvol import BaselineSvModel, SvxModel, rhat, sample, split_rhat
 from spotvol.errors import (
     DivergentChains,
     InvalidConfig,
@@ -84,6 +86,38 @@ def test_determinism(baseline_truth):
     assert np.array_equal(a.draws, b.draws)
     c = sample(BaselineSvModel(y), cfg, seed=6)
     assert not np.array_equal(a.draws, c.draws)
+
+
+# sha256 of fit.draws for the two fits in test_draws_pinned, recorded with
+# the thread-pooled sampler and the numba-free kernel it replaced (numpy
+# 2.4, scipy 1.17, x86-64). A change that moves one bit of a draw fails
+# here; a numpy build that rounds exp() differently does too.
+PINNED_DRAWS = {
+    "baseline": "cf03db18a232ddc91c935082a92d10fd16288aa10108273f2d0ed254de483ea2",
+    "svx": "f3dbd6e4746e811ad13571993a6fdf42b309ce5c7bfe8de6fab99b24d0ca5b27",
+}
+
+
+def _draws_digest(fit):
+    return hashlib.sha256(np.ascontiguousarray(fit.draws).tobytes()).hexdigest()
+
+
+def test_draws_pinned(baseline_truth, svx_y, svx_frame):
+    base = BaselineSvModel(baseline_truth.daily_prices.window(0, 120))
+    svx = SvxModel(svx_y.window(0, 120), svx_frame.window(0, 120))
+    assert _draws_digest(sample(base, fast_sampler(), seed=5)) \
+        == PINNED_DRAWS["baseline"]
+    assert _draws_digest(sample(svx, fast_sampler(), seed=5)) \
+        == PINNED_DRAWS["svx"]
+
+
+def test_max_workers_is_ignored(baseline_truth):
+    y = baseline_truth.daily_prices.window(0, 120)
+    draws = [sample(BaselineSvModel(y), fast_sampler(max_workers=mw),
+                    seed=5).draws
+             for mw in (None, 1, 2)]
+    assert np.array_equal(draws[0], draws[1])
+    assert np.array_equal(draws[0], draws[2])
 
 
 def test_summary_means_exact(baseline_truth):
