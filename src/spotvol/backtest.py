@@ -113,7 +113,6 @@ class BacktestConfig:
     mode: PpdMode = PpdMode.POINT_ESTIMATE
     vol_mode: VolMode = VolMode.PROPAGATE
     max_workers: int | None = None
-    mwu_exact_threshold: int = 12
 
 
 # errors that fail one fold but not the grid; ValueError covers
@@ -198,8 +197,7 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
         svx_pool = [getattr(r, metric) for c in combos if c.family == "svx"
                     for r in reports[c.model_id]]
         if base_pool and svx_pool:
-            res = mwu_test(base_pool, svx_pool,
-                           exact_threshold=cfg.mwu_exact_threshold, seed=seed)
+            res = mwu_test(base_pool, svx_pool)
             mwu[metric] = {
                 "u_statistic": res.u_statistic,
                 "p_value": res.p_value,

@@ -11,7 +11,6 @@ Exit codes: 0 ok, 1 error, 2 ok with warnings (fit with R-hat above 1.05).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -29,7 +28,7 @@ from .errors import (
     SpotvolError,
 )
 from .hmc import sample
-from .ingest import export_hourly, load_prices, load_weather, synthesize
+from .ingest import export_hourly, load_prices, load_weather, synthesize, write_csv
 from .interpret import pd_ice, residual_report
 from .models import (
     COEF_NAMES,
@@ -215,12 +214,10 @@ def cmd_cv(cfg: RunConfig) -> int:
     summary = cross_validate(combos, plan, bt_cfg, cfg.seed)
 
     _write_json(outdir / "cv_summary.json", summary.to_json_dict())
-    with (outdir / "cv_folds.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model_id", "fold_id", "mae", "rmse", "n"])
-        for mid in sorted(summary.reports):
-            for r in summary.reports[mid]:
-                writer.writerow([mid, r.fold_id, repr(r.mae), repr(r.rmse), r.n])
+    write_csv(outdir / "cv_folds.csv", ["model_id", "fold_id", "mae", "rmse", "n"],
+              ([mid, r.fold_id, repr(r.mae), repr(r.rmse), r.n]
+               for mid in sorted(summary.reports)
+               for r in summary.reports[mid]))
     _write_manifest(cfg, "cv", outdir)
 
     print(f"{len(plan)} folds x {len(combos)} combinations")
@@ -265,11 +262,8 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     max_lag = min(max_lag, len(y) // 4 - 1)
     pacf_vals = pacf(y, max_lag)
     report["pacf"] = pacf_vals.tolist()
-    with (outdir / "pacf.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "pacf"])
-        for k, v in enumerate(pacf_vals):
-            writer.writerow([k, repr(float(v))])
+    write_csv(outdir / "pacf.csv", ["lag", "pacf"],
+              ([k, repr(float(v))] for k, v in enumerate(pacf_vals)))
 
     if has_weather:
         temp = temps.values  # same-day pairing for the correlation analysis
@@ -299,22 +293,17 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
             "r_pred_actual": res.r_pred_actual,
             "r_pred_actual_degenerate": res.r_pred_actual_degenerate,
         }
-        with (outdir / "residuals.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["residual", "qq_theoretical", "qq_sample",
-                             "predicted_mean"])
-            for i in range(len(res.residuals)):
-                writer.writerow([repr(float(res.residuals[i])),
-                                 repr(float(res.qq_theoretical[i])),
-                                 repr(float(res.qq_sample[i])),
-                                 repr(float(ppd.mean[i]))])
+        write_csv(outdir / "residuals.csv",
+                  ["residual", "qq_theoretical", "qq_sample", "predicted_mean"],
+                  ([repr(float(v)) for v in row] for row in zip(
+                      res.residuals, res.qq_theoretical, res.qq_sample,
+                      ppd.mean)))
         vol_mean, vol_lo, vol_hi = volatility_path(fit)
-        with (outdir / "volatility.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "vol_mean", "vol_low", "vol_high"])
-            for i in range(len(vol_mean)):
-                writer.writerow([str(series.dates[i]), repr(float(vol_mean[i])),
-                                 repr(float(vol_lo[i])), repr(float(vol_hi[i]))])
+        write_csv(outdir / "volatility.csv",
+                  ["date", "vol_mean", "vol_low", "vol_high"],
+                  ([str(series.dates[i]), repr(float(vol_mean[i])),
+                    repr(float(vol_lo[i])), repr(float(vol_hi[i]))]
+                   for i in range(len(vol_mean))))
         if fit.model_family == "svx":
             report["raw_coefficients"] = raw_coefficients(fit)
             for feature in ("temperature", "weekday"):
@@ -325,11 +314,9 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
                     "pd": curve.pd.tolist(),
                     "feature_independence_r": curve.feature_independence_r,
                 }
-                with (outdir / f"pd_{feature}.csv").open("w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow([feature, "pd"])
-                    for g, v in zip(curve.grid, curve.pd):
-                        writer.writerow([repr(float(g)), repr(float(v))])
+                write_csv(outdir / f"pd_{feature}.csv", [feature, "pd"],
+                          ([repr(float(g)), repr(float(v))]
+                           for g, v in zip(curve.grid, curve.pd)))
 
     _write_json(outdir / "diagnostics.json", report)
     _write_manifest(cfg, "diagnose", outdir,

@@ -21,6 +21,12 @@ from .posterior import PosteriorFit, summarize_draws
 
 DIVERGENCE_ENERGY = 1000.0
 RHAT_WARN = 1.05
+# warmup windows (iterations): fast step-size-only buffers at either end,
+# doubling metric windows between; SamplerConfig's warmup floor of 200
+# always leaves room for at least two windows
+INIT_BUFFER = 75
+TERM_BUFFER = 50
+BASE_WINDOW = 25
 
 
 @dataclass
@@ -35,9 +41,6 @@ class SamplerConfig:
     target_accept: float = 0.8
     step_jitter: float = 0.1
     max_workers: int | None = None
-    init_buffer: int = 75
-    term_buffer: int = 50
-    base_window: int = 25
 
     def validate(self):
         if self.n_chains < 2:
@@ -116,26 +119,20 @@ def _find_initial_step(logp_grad, theta, lp, grad, inv_mass, rng):
     return eps
 
 
-def _adaptation_schedule(warmup, init_buffer, term_buffer, base_window):
+def _adaptation_schedule(warmup):
     """Iteration indices (1-based) at which the metric window closes."""
-    if init_buffer + term_buffer + base_window > warmup:
-        init_buffer = max(1, int(0.15 * warmup))
-        term_buffer = max(1, int(0.10 * warmup))
-        base_window = warmup - init_buffer - term_buffer
     ends = []
-    start = init_buffer
-    size = base_window
-    while start + size <= warmup - term_buffer:
+    start = INIT_BUFFER
+    size = BASE_WINDOW
+    while start + size <= warmup - TERM_BUFFER:
         end = start + size
         # absorb a remainder too small to double into this window
-        if end + 2 * size > warmup - term_buffer:
-            end = warmup - term_buffer
+        if end + 2 * size > warmup - TERM_BUFFER:
+            end = warmup - TERM_BUFFER
         ends.append(end)
         start = end
         size *= 2
-    if not ends and warmup - term_buffer > init_buffer:
-        ends.append(warmup - term_buffer)
-    return init_buffer, term_buffer, ends
+    return ends
 
 
 def _run_chain(model, cfg: SamplerConfig, seed_seq):
@@ -151,8 +148,7 @@ def _run_chain(model, cfg: SamplerConfig, seed_seq):
     eps = _find_initial_step(model.logp_grad, theta, lp, grad, inv_mass, rng)
     da = _DualAveraging(eps, cfg.target_accept)
 
-    init_buf, term_buf, window_ends = _adaptation_schedule(
-        cfg.warmup, cfg.init_buffer, cfg.term_buffer, cfg.base_window)
+    window_ends = _adaptation_schedule(cfg.warmup)
     window_draws = []
 
     def one_step(theta, lp, grad, eps_now):
@@ -179,15 +175,15 @@ def _run_chain(model, cfg: SamplerConfig, seed_seq):
     for m in range(1, cfg.warmup + 1):
         theta, lp, grad, aprob, _ = one_step(theta, lp, grad, da.eps)
         da.update(aprob)
-        if m > init_buf and (not window_ends or m <= window_ends[-1]):
+        if not window_ends:
+            continue  # terminal buffer: step size only
+        if m > INIT_BUFFER:
             window_draws.append(theta.copy())
-        if window_ends and m == window_ends[0]:
+        if m == window_ends[0]:
             window_ends.pop(0)
-            draws_arr = np.asarray(window_draws)
-            if len(draws_arr) >= 10:
-                n = len(draws_arr)
-                var = draws_arr.var(axis=0, ddof=1)
-                inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
+            n = len(window_draws)
+            var = np.asarray(window_draws).var(axis=0, ddof=1)
+            inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
             window_draws = []
             eps = _find_initial_step(
                 model.logp_grad, theta, lp, grad, inv_mass, rng)

@@ -75,19 +75,24 @@ def load_weather(path) -> HourlyTable:
     return _load_table(path, WEATHER_SCHEMA)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then `rows`, as UTF-8 CSV; every output CSV of
+    the package goes through here."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def export_hourly(table: HourlyTable, path, value_name: str) -> None:
     """Write an HourlyTable back to the canonical CSV layout.
 
     Values are written with repr round-tripping, so load(export(t)) == t.
     """
-    path = Path(path)
     order = np.lexsort((table.hours, table.dates.view("int64")))
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "hour", value_name])
-        for i in order:
-            writer.writerow([str(table.dates[i]), int(table.hours[i]),
-                             repr(float(table.values[i]))])
+    write_csv(path, ["date", "hour", value_name],
+              ([str(table.dates[i]), int(table.hours[i]),
+                repr(float(table.values[i]))] for i in order))
 
 
 @dataclass(frozen=True)

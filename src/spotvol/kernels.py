@@ -34,7 +34,6 @@ from scipy.signal import lfilter
 
 __all__ = [
     "sv_logp_grad",
-    "sv_logp_grad_numpy",
     "sv_h_path",
     "EMPTY_DESIGN",
 ]
@@ -52,7 +51,7 @@ def _h_from_u(mu, phi, sigma, f, u):
     return h
 
 
-def sv_logp_grad_numpy(theta, y, ybar, Z):
+def sv_logp_grad(theta, y, ybar, Z):
     """Log posterior density and its gradient on the unconstrained scale."""
     k = Z.shape[1]
     off = 3 + (k + 1 if k > 0 else 0)
@@ -123,5 +122,3 @@ def sv_h_path(mu, phi, sigma, u):
     return _h_from_u(mu, phi, sigma, math.sqrt(1.0 - phi * phi),
                      np.asarray(u, dtype=np.float64))
 
-
-sv_logp_grad = sv_logp_grad_numpy

@@ -53,10 +53,6 @@ class PosteriorFit:
         idx = [j for j, n in enumerate(self.param_names) if n.startswith("h[")]
         return self.draws[:, idx]
 
-    def mean_vector(self) -> np.ndarray:
-        return np.array([self.draws[:, j].mean()
-                         for j in range(self.draws.shape[1])])
-
     def per_chain(self) -> np.ndarray:
         """Draws reshaped to (n_chains, kept_per_chain, n_params)."""
         return self.draws.reshape(self.n_chains, self.kept_per_chain, -1)

@@ -13,7 +13,6 @@ Volatility beyond the training window either holds the last learned value
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HorizonZero, MissingExogenous, ModeUnsupported
+from .ingest import write_csv
 from .models import COEF_NAMES, Standardizer, mean_values
 from .posterior import PosteriorFit
 from .series import ExogenousFrame
@@ -58,16 +58,13 @@ class ForecastSet:
         return self.draws.shape[1]
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "mean", "ci_low", "ci_high",
-                             "vol_mean", "vol_low", "vol_high"])
-            for t in range(self.horizon):
-                label = str(self.dates[t]) if self.dates is not None else str(t)
-                writer.writerow([label] + [
-                    repr(float(v[t])) for v in
-                    (self.mean, self.ci_low, self.ci_high,
-                     self.vol_mean, self.vol_low, self.vol_high)])
+        columns = (self.mean, self.ci_low, self.ci_high,
+                   self.vol_mean, self.vol_low, self.vol_high)
+        write_csv(path, ["date", "mean", "ci_low", "ci_high",
+                         "vol_mean", "vol_low", "vol_high"],
+                  ([str(self.dates[t]) if self.dates is not None else str(t)]
+                   + [repr(float(v[t])) for v in columns]
+                   for t in range(self.horizon)))
 
     def to_json_dict(self) -> dict:
         d = {

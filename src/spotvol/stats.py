@@ -7,13 +7,12 @@ normal equations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import comb, erf, erfc
+from scipy.special import erf, erfc
 from scipy.stats import rankdata
 
 from .errors import (
@@ -224,18 +223,20 @@ class MwuResult:
     null_sd: float
 
 
-FULL_ENUM_LIMIT = 400_000
+EXACT_THRESHOLD_MAX = 12  # keeps the exact count's table small
 
 
-def mwu_test(a, b, exact_threshold: int = 12,
-             n_permutations: int = 100_000, seed: int = 0) -> MwuResult:
+def mwu_test(a, b, exact_threshold: int = 12) -> MwuResult:
     """One-tailed Mann-Whitney U test of H1: `a` is shifted right of `b`.
 
-    Small samples (min size <= exact_threshold) use the permutation null:
-    full enumeration when feasible, otherwise seeded Monte Carlo with at
-    least `n_permutations` resamples. Larger samples use the normal
+    Small samples (min size <= exact_threshold, at most 12) use the exact
+    permutation null of the rank sum, counted over subsets of the pooled
+    midranks (Mann & Whitney 1947). Larger samples use the normal
     approximation with tie and continuity corrections.
     """
+    if not 0 <= exact_threshold <= EXACT_THRESHOLD_MAX:
+        raise ValueError(f"exact_threshold {exact_threshold} not in "
+                         f"[0, {EXACT_THRESHOLD_MAX}]")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n1, n2 = len(a), len(b)
@@ -253,30 +254,23 @@ def mwu_test(a, b, exact_threshold: int = 12,
     null_sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - tie_term))
 
     if min(n1, n2) <= exact_threshold:
-        u_shifted = ranks[:n1].sum()  # rank sum; U differs by a constant
-        if comb(n, n1, exact=True) <= FULL_ENUM_LIMIT:
-            count = 0
-            total = 0
-            for subset in itertools.combinations(range(n), n1):
-                total += 1
-                if ranks[list(subset)].sum() >= u_shifted - 1e-9:
-                    count += 1
-            p = count / total
-        else:
-            rng = np.random.default_rng(seed)
-            count = 0
-            done = 0
-            chunk = 16384
-            while done < n_permutations:
-                size = min(chunk, n_permutations - done)
-                keys = rng.random((size, n))
-                takes = np.argpartition(keys, n1 - 1, axis=1)[:, :n1]
-                sums = ranks[takes].sum(axis=1)
-                count += int(np.sum(sums >= u_shifted - 1e-9))
-                done += size
-            p = (count + 1) / (n_permutations + 1)
-        return MwuResult(u_obs, float(p), MwuMethod.EXACT_PERMUTATION,
-                         null_mean, null_sd)
+        # midranks are multiples of 1/2, so doubled ranks are integers;
+        # ways[j, s] counts the j-subsets of the pool with doubled rank
+        # sum s (exact in float64 below 2**53)
+        r2 = np.rint(2.0 * ranks).astype(np.int64)
+        k = min(n1, n2)
+        top = int(np.sort(r2)[n - k:].sum())
+        ways = np.zeros((k + 1, top + 1))
+        ways[0, 0] = 1.0
+        for r in r2:
+            ways[1:, r:] += ways[:-1, :top + 1 - r]
+        s_obs = int(r2[:n1].sum())
+        if k == n1:
+            count = ways[k, s_obs:].sum()
+        else:  # S_a >= s_obs  <=>  S_b <= total - s_obs
+            count = ways[k, :int(r2.sum()) - s_obs + 1].sum()
+        return MwuResult(u_obs, float(count / math.comb(n, k)),
+                         MwuMethod.EXACT_PERMUTATION, null_mean, null_sd)
 
     if null_sd == 0.0:
         return MwuResult(u_obs, 1.0, MwuMethod.NORMAL_APPROX, null_mean, 0.0)

@@ -42,7 +42,7 @@ def naive_logp(theta, y, ybar, Z):
 
 
 def impls():
-    return [("numpy", kernels.sv_logp_grad_numpy)]
+    return [("numpy", kernels.sv_logp_grad)]
 
 
 @pytest.fixture(scope="module")

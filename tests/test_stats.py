@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import mannwhitneyu, rankdata
 
 from spotvol import (
     adf_test,
@@ -156,19 +156,29 @@ def test_mwu_exact_enumeration_extremes():
     rev = mwu_test(high, low)
     assert rev.u_statistic == 9.0
     assert rev.p_value == pytest.approx(1.0 / 20.0)
+    # the criterion-10 shape: 12 folds against 12, every baseline worse
+    sep = mwu_test(np.arange(12.0) + 12.0, np.arange(12.0))
+    assert sep.p_value == 1.0 / math.comb(24, 12)
+
+
+def _enumerated_p(a, b):
+    """Independent enumeration of the permutation null of the rank sum."""
+    n1, n = len(a), len(a) + len(b)
+    ranks = rankdata(np.concatenate([a, b]))
+    obs = ranks[:n1].sum()
+    count = sum(1 for c in itertools.combinations(range(n), n1)
+                if ranks[list(c)].sum() >= obs - 1e-9)
+    return count / math.comb(n, n1)
 
 
 def test_mwu_exact_enumeration_oracle():
-    # independent enumeration of the permutation null
     rng = np.random.default_rng(77)
     a, b = rng.standard_normal(5), rng.standard_normal(4)
-    res = mwu_test(a, b)
-    pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled)
-    obs = ranks[:5].sum()
-    count = sum(1 for c in itertools.combinations(range(9), 5)
-                if ranks[list(c)].sum() >= obs - 1e-9)
-    assert res.p_value == pytest.approx(count / math.comb(9, 5))
+    assert mwu_test(a, b).p_value == _enumerated_p(a, b)
+    # 13 integers in 0..3 tie, so some midranks are half-integers
+    a, b = rng.integers(0, 4, 7).astype(float), rng.integers(0, 4, 6).astype(float)
+    assert mwu_test(a, b).p_value == _enumerated_p(a, b)
+    assert mwu_test(b, a).p_value == _enumerated_p(b, a)
 
 
 def test_mwu_normal_vs_exact_agreement():
@@ -185,16 +195,22 @@ def test_mwu_normal_vs_exact_agreement():
     assert max(deltas) < 0.02
 
 
-def test_mwu_monte_carlo_branch():
+def test_mwu_exact_counting_matches_scipy():
+    # C(26, 12) subsets: far beyond enumeration, still counted exactly
     rng = np.random.default_rng(13)
-    a = rng.standard_normal(12)
-    b = rng.standard_normal(14)  # C(26,12) too large to enumerate
-    res = mwu_test(a, b, exact_threshold=12, n_permutations=20000, seed=5)
-    assert res.method is MwuMethod.EXACT_PERMUTATION
-    approx = mwu_test(a, b, exact_threshold=0)
-    assert abs(res.p_value - approx.p_value) < 0.03
-    again = mwu_test(a, b, exact_threshold=12, n_permutations=20000, seed=5)
-    assert res.p_value == again.p_value
+    for n1, n2 in ((12, 14), (14, 12)):
+        a, b = rng.standard_normal(n1), rng.standard_normal(n2)
+        res = mwu_test(a, b, exact_threshold=12)
+        assert res.method is MwuMethod.EXACT_PERMUTATION
+        ref = mannwhitneyu(a, b, method="exact", alternative="greater").pvalue
+        assert res.p_value == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def test_mwu_exact_threshold_bounds():
+    with pytest.raises(ValueError):
+        mwu_test([1.0, 2.0], [3.0], exact_threshold=13)
+    with pytest.raises(ValueError):
+        mwu_test([1.0, 2.0], [3.0], exact_threshold=-1)
 
 
 def test_mwu_empty():
