@@ -120,32 +120,39 @@ class BacktestConfig:
 _FOLD_ERRORS = (SpotvolError, ArithmeticError, ValueError)
 
 
-def _run_fold(combo: CvCombination, fold, fold_id: int, cfg: BacktestConfig,
-              fit_seed: int, fc_seed: int) -> MetricReport:
-    a, b, c, d = fold
-    if not (b < c):
-        raise SpotvolError("train window overlaps test window")
-    train_y = combo.series.window(a, b + 1)
+def _seed_pairs(seed: int, n: int) -> list:
+    """`n` (fit seed, forecast seed) pairs, each from its own substream."""
+    ss = np.random.SeedSequence(seed).spawn(2 * n)
+    return [(int(ss[2 * i].generate_state(1)[0]),
+             int(ss[2 * i + 1].generate_state(1)[0])) for i in range(n)]
+
+
+def _fit_forecast(combo: CvCombination, lo: int, hi: int, horizon: int,
+                  cfg: BacktestConfig, fit_seed: int,
+                  fc_seed: int) -> ForecastSet:
+    """Fit the combination's family on days lo..hi (inclusive) and forecast
+    the `horizon` days after hi; svx takes their regressors from rows
+    hi+1.. of the frame."""
+    train_y = combo.series.window(lo, hi + 1)
     if combo.family == "svx":
-        model = SvxModel(train_y, combo.exog.window(a, b + 1))
+        model = SvxModel(train_y, combo.exog.window(lo, hi + 1))
+        exog_future = combo.exog.window(hi + 1, hi + 1 + horizon)
     else:
         model = BaselineSvModel(train_y)
+        exog_future = None
     fit = sample(model, cfg.sampler, fit_seed)
+    return forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
+                    vol_mode=cfg.vol_mode, exog_future=exog_future,
+                    seed=fc_seed)
 
-    horizon = d - c + 1
-    exog_future = combo.exog.window(c, d + 1) if combo.family == "svx" else None
-    fc = forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
-                  vol_mode=cfg.vol_mode, exog_future=exog_future, seed=fc_seed)
-    actual = combo.series.values[c:d + 1]
-    return MetricReport(
-        mae=mae(actual, fc.mean),
-        rmse=rmse(actual, fc.mean),
-        n=horizon,
-        model_id=combo.model_id,
-        hour=combo.hour,
-        zone=combo.zone,
-        fold_id=fold_id,
-    )
+
+def _report(combo: CvCombination, start: int, mean,
+            fold_id: int | None = None) -> MetricReport:
+    """Score forecast means against the days from `start` on."""
+    actual = combo.series.values[start:start + len(mean)]
+    return MetricReport(mae=mae(actual, mean), rmse=rmse(actual, mean),
+                        n=len(mean), model_id=combo.model_id, hour=combo.hour,
+                        zone=combo.zone, fold_id=fold_id)
 
 
 def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
@@ -162,17 +169,20 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
             raise SpotvolError(
                 f"{combo.model_id}: series shorter than the fold plan span")
 
-    tasks = [(ci, fi) for ci in range(len(combos)) for fi in range(len(plan))]
-    seeds = np.random.SeedSequence(seed).spawn(2 * len(tasks))
-
+    tasks = [(combo, fi) for combo in combos for fi in range(len(plan))]
     reports = {c.model_id: [] for c in combos}
     failures = {c.model_id: [] for c in combos}
-    for task_idx, (ci, fi) in enumerate(tasks):
-        combo = combos[ci]
-        fit_seed = int(seeds[2 * task_idx].generate_state(1)[0])
-        fc_seed = int(seeds[2 * task_idx + 1].generate_state(1)[0])
+    for (combo, fi), (fit_seed, fc_seed) in zip(
+            tasks, _seed_pairs(seed, len(tasks))):
+        a, b, c, d = plan.folds[fi]
         try:
-            rep = _run_fold(combo, plan.folds[fi], fi, cfg, fit_seed, fc_seed)
+            if c != b + 1:
+                raise SpotvolError(
+                    f"test window starts on day {c}, not the day after the "
+                    f"train window ends ({b})")
+            fc = _fit_forecast(combo, a, b, d - c + 1, cfg, fit_seed, fc_seed)
+            rep = _report(combo, c, fc.mean, fi)
+            del fc  # keep this fold's draws out of the next fold's peak memory
         except _FOLD_ERRORS as exc:
             failures[combo.model_id].append(
                 (fi, f"{type(exc).__name__}: {exc}"))
@@ -242,47 +252,13 @@ def rolling_forecast(combo: CvCombination, first_train: tuple,
         raise InsufficientFutureData(
             f"series ends {dates[-1]}, need {horizon_days} days past {end}")
 
-    seeds = np.random.SeedSequence(seed).spawn(2 * horizon_days)
-    day_forecasts = []
-    train_ranges = []
-    for j in range(horizon_days):
-        lo, hi = a + j, b + j
-        train_ranges.append((dates[lo], dates[hi]))
-        train_y = combo.series.window(lo, hi + 1)
-        if combo.family == "svx":
-            model = SvxModel(train_y, combo.exog.window(lo, hi + 1))
-            exog_future = combo.exog.window(hi + 1, hi + 2)
-        else:
-            model = BaselineSvModel(train_y)
-            exog_future = None
-        fit = sample(model, cfg.sampler, int(seeds[2 * j].generate_state(1)[0]))
-        fc = forecast(fit, 1, n_draws=cfg.n_draws, mode=cfg.mode,
-                      vol_mode=cfg.vol_mode, exog_future=exog_future,
-                      seed=int(seeds[2 * j + 1].generate_state(1)[0]))
-        day_forecasts.append(fc)
-
-    draws = np.column_stack([fc.draws[:, 0] for fc in day_forecasts])
-    lo_q, hi_q = np.percentile(draws, [2.5, 97.5], axis=0)
-    out_dates = dates[b + 1: b + 1 + horizon_days]
-    fcset = ForecastSet(
-        draws=draws,
-        mean=draws.mean(axis=0),
-        ci_low=lo_q,
-        ci_high=hi_q,
-        vol_mean=np.array([fc.vol_mean[0] for fc in day_forecasts]),
-        vol_low=np.array([fc.vol_low[0] for fc in day_forecasts]),
-        vol_high=np.array([fc.vol_high[0] for fc in day_forecasts]),
-        mode=cfg.mode,
-        vol_mode=cfg.vol_mode,
-        dates=out_dates,
-    )
-    actual = combo.series.values[b + 1: b + 1 + horizon_days]
-    report = MetricReport(
-        mae=mae(actual, fcset.mean),
-        rmse=rmse(actual, fcset.mean),
-        n=horizon_days,
-        model_id=combo.model_id,
-        hour=combo.hour,
-        zone=combo.zone,
-    )
-    return RollingResult(forecast=fcset, report=report, train_ranges=train_ranges)
+    day_forecasts = [_fit_forecast(combo, a + j, b + j, 1, cfg, *seeds)
+                     for j, seeds in enumerate(_seed_pairs(seed, horizon_days))]
+    fcset = ForecastSet.from_draws(
+        np.column_stack([fc.draws[:, 0] for fc in day_forecasts]),
+        np.column_stack([fc.vol_draws[:, 0] for fc in day_forecasts]),
+        cfg.mode, cfg.vol_mode, dates[b + 1: b + 1 + horizon_days])
+    return RollingResult(
+        forecast=fcset, report=_report(combo, b + 1, fcset.mean),
+        train_ranges=[(dates[a + j], dates[b + j])
+                      for j in range(horizon_days)])

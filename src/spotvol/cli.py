@@ -28,7 +28,14 @@ from .errors import (
     SpotvolError,
 )
 from .hmc import sample
-from .ingest import export_hourly, load_prices, load_weather, synthesize, write_csv
+from .ingest import (
+    export_hourly,
+    load_prices,
+    load_weather,
+    synthesize,
+    write_csv,
+    write_json,
+)
 from .interpret import pd_ice, residual_report
 from .models import (
     COEF_NAMES,
@@ -47,10 +54,6 @@ log = logging.getLogger("spotvol")
 SCALAR_PARAMS = SCALAR_NAMES_BASE + COEF_NAMES
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1))
-
-
 def _write_manifest(cfg: RunConfig, command: str, outdir: Path,
                     extra_args: dict | None = None) -> None:
     manifest = {
@@ -62,7 +65,7 @@ def _write_manifest(cfg: RunConfig, command: str, outdir: Path,
     }
     if extra_args:
         manifest["args"] = extra_args
-    _write_json(outdir / f"{command}_manifest.json", manifest)
+    write_json(outdir / f"{command}_manifest.json", manifest)
 
 
 def _load_series(cfg: RunConfig, hour: int, zone: int, need_weather: bool):
@@ -213,7 +216,7 @@ def cmd_cv(cfg: RunConfig) -> int:
              len(combos), len(plan))
     summary = cross_validate(combos, plan, bt_cfg, cfg.seed)
 
-    _write_json(outdir / "cv_summary.json", summary.to_json_dict())
+    write_json(outdir / "cv_summary.json", summary.to_json_dict())
     write_csv(outdir / "cv_folds.csv", ["model_id", "fold_id", "mae", "rmse", "n"],
               ([mid, r.fold_id, repr(r.mae), repr(r.rmse), r.n]
                for mid in sorted(summary.reports)
@@ -318,7 +321,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
                           ([repr(float(g)), repr(float(v))]
                            for g, v in zip(curve.grid, curve.pd)))
 
-    _write_json(outdir / "diagnostics.json", report)
+    write_json(outdir / "diagnostics.json", report)
     _write_manifest(cfg, "diagnose", outdir,
                     {"fit": str(fit_path)} if fit_path else None)
     print(f"adf: stat={adf.statistic:.3f} p={adf.p_value:.4f} "
@@ -350,7 +353,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         "daily_temps": truth.daily_temps.values.tolist(),
         "dates": [str(d) for d in truth.daily_prices.dates],
     }
-    _write_json(outdir / "synth_truth.json", truth_doc)
+    write_json(outdir / "synth_truth.json", truth_doc)
     _write_manifest(cfg, "synth", outdir)
     print(f"synthesized {spec.n_days} days x 24 hours into {outdir}")
     return 0

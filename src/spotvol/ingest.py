@@ -13,6 +13,7 @@ preprocessing; this module only accepts the canonical layout.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,6 +83,12 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as JSON with sorted keys; every output JSON file of
+    the package goes through here, so reruns are byte-identical."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
 def export_hourly(table: HourlyTable, path, value_name: str) -> None:

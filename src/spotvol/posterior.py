@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import write_json
+
 
 def _encode_array(arr: np.ndarray) -> dict:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
@@ -53,10 +55,6 @@ class PosteriorFit:
         idx = [j for j, n in enumerate(self.param_names) if n.startswith("h[")]
         return self.draws[:, idx]
 
-    def per_chain(self) -> np.ndarray:
-        """Draws reshaped to (n_chains, kept_per_chain, n_params)."""
-        return self.draws.reshape(self.n_chains, self.kept_per_chain, -1)
-
     @property
     def warnings(self) -> list:
         return self.diagnostics.get("warnings", [])
@@ -74,8 +72,7 @@ class PosteriorFit:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=1))
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PosteriorFit":

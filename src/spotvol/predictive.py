@@ -13,15 +13,13 @@ Volatility beyond the training window either holds the last learned value
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import HorizonZero, MissingExogenous, ModeUnsupported
-from .ingest import write_csv
+from .ingest import write_csv, write_json
 from .models import COEF_NAMES, Standardizer, mean_values
 from .posterior import PosteriorFit
 from .series import ExogenousFrame
@@ -82,26 +80,27 @@ class ForecastSet:
         return d
 
     def save_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=1))
+        write_json(path, self.to_json_dict())
 
-
-def _assemble(draws, vols, mode, vol_mode=None, dates=None) -> ForecastSet:
-    lo, hi = np.percentile(draws, [2.5, 97.5], axis=0)
-    vlo, vhi = np.percentile(vols, [2.5, 97.5], axis=0)
-    return ForecastSet(
-        draws=draws,
-        mean=draws.mean(axis=0),
-        ci_low=lo,
-        ci_high=hi,
-        vol_mean=vols.mean(axis=0),
-        vol_low=vlo,
-        vol_high=vhi,
-        mode=mode,
-        vol_mode=vol_mode,
-        dates=dates,
-        vol_draws=np.asarray(vols),
-    )
+    @classmethod
+    def from_draws(cls, draws, vols, mode, vol_mode=None,
+                   dates=None) -> "ForecastSet":
+        """Summarize predictive draws and their per-draw volatilities."""
+        lo, hi = np.percentile(draws, [2.5, 97.5], axis=0)
+        vlo, vhi = np.percentile(vols, [2.5, 97.5], axis=0)
+        return cls(
+            draws=draws,
+            mean=draws.mean(axis=0),
+            ci_low=lo,
+            ci_high=hi,
+            vol_mean=vols.mean(axis=0),
+            vol_low=vlo,
+            vol_high=vhi,
+            mode=mode,
+            vol_mode=vol_mode,
+            dates=dates,
+            vol_draws=np.asarray(vols),
+        )
 
 
 def _check_fit(fit: PosteriorFit):
@@ -139,7 +138,8 @@ def ppd_insample(fit: PosteriorFit, model, n_draws: int = 1000,
     vols = np.exp(h / 2.0)
     draws = m + vols * z
     dates = model.dates if getattr(model, "dates", None) is not None else None
-    return _assemble(draws, np.broadcast_to(vols, draws.shape), mode, None, dates)
+    return ForecastSet.from_draws(draws, np.broadcast_to(vols, draws.shape),
+                                  mode, None, dates)
 
 
 def forecast(fit: PosteriorFit, horizon: int, n_draws: int = 1000,
@@ -214,7 +214,7 @@ def forecast(fit: PosteriorFit, horizon: int, n_draws: int = 1000,
     if "last_date" in ts:
         d0 = np.datetime64(ts["last_date"], "D")
         dates = d0 + np.arange(1, horizon + 1)
-    return _assemble(draws, vols, mode, vol_mode, dates)
+    return ForecastSet.from_draws(draws, vols, mode, vol_mode, dates)
 
 
 def volatility_path(fit: PosteriorFit):

@@ -1,13 +1,13 @@
 """Core domain types: hourly tables, daily series, exogenous frames, fold plans.
 
-All containers are frozen dataclasses over read-only numpy arrays, so they can
-be shared freely across worker threads. Dates are numpy datetime64[D]; no
-timezone handling happens here (ingest resolves local time before handoff).
+All containers are frozen dataclasses over read-only numpy arrays. Dates are
+numpy datetime64[D]; no timezone handling happens here (ingest resolves local
+time before handoff).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -106,11 +106,8 @@ class DailySeries:
 
     def window(self, start: int, stop: int) -> "DailySeries":
         """Positional slice [start, stop)."""
-        return type(self)(self.dates[start:stop], self.values[start:stop],
-                          self.hour, *self._extra_fields())
-
-    def _extra_fields(self) -> tuple:
-        return ()
+        return replace(self, dates=self.dates[start:stop],
+                       values=self.values[start:stop])
 
 
 @dataclass(frozen=True)
@@ -119,9 +116,6 @@ class PriceSeries(DailySeries):
 
     zone: Zone = Zone.ZONE1
 
-    def _extra_fields(self) -> tuple:
-        return (self.zone,)
-
 
 @dataclass(frozen=True)
 class ExogenousFrame:
@@ -129,37 +123,40 @@ class ExogenousFrame:
 
     Row t carries the previous day's price and temperature (plus its square
     and cube) together with the weekday code of day t, so no column looks at
-    information from day t itself except the calendar.
+    information from day t itself except the calendar. Only the observed
+    columns are stored; the temperature powers and the weekday code are
+    derived on access.
     """
 
     dates: np.ndarray
     lag_price: np.ndarray
     temp_lag: np.ndarray
-    temp_lag_sq: np.ndarray
-    temp_lag_cu: np.ndarray
-    weekday: np.ndarray
 
     COLUMNS = ("lag_price", "temp_lag", "temp_lag_sq", "temp_lag_cu", "weekday")
 
     def __post_init__(self):
         object.__setattr__(self, "dates", _as_dates(self.dates))
-        for name in ("lag_price", "temp_lag", "temp_lag_sq", "temp_lag_cu", "weekday"):
+        for name in ("lag_price", "temp_lag"):
             object.__setattr__(self, name, _as_floats(getattr(self, name)))
-        n = len(self.dates)
-        for name in self.COLUMNS:
-            if len(getattr(self, name)) != n:
+            if len(getattr(self, name)) != len(self.dates):
                 raise ValueError(f"column {name} length mismatch")
-        if n > 1 and not np.all(np.diff(self.dates) == ONE_DAY):
+        if len(self.dates) > 1 and not np.all(np.diff(self.dates) == ONE_DAY):
             raise ValueError("dates must increase in steps of exactly one day")
-        if not np.array_equal(self.temp_lag_sq, self.temp_lag ** 2):
-            raise ValueError("temp_lag_sq must equal temp_lag squared")
-        if not np.array_equal(self.temp_lag_cu, self.temp_lag ** 3):
-            raise ValueError("temp_lag_cu must equal temp_lag cubed")
-        if not np.array_equal(self.weekday, weekday_codes(self.dates).astype(float)):
-            raise ValueError("weekday codes disagree with the calendar")
 
     def __len__(self) -> int:
         return len(self.dates)
+
+    @property
+    def temp_lag_sq(self) -> np.ndarray:
+        return self.temp_lag ** 2
+
+    @property
+    def temp_lag_cu(self) -> np.ndarray:
+        return self.temp_lag ** 3
+
+    @property
+    def weekday(self) -> np.ndarray:
+        return weekday_codes(self.dates).astype(float)
 
     @classmethod
     def from_daily(cls, prices: DailySeries, temps: DailySeries) -> "ExogenousFrame":
@@ -172,30 +169,16 @@ class ExogenousFrame:
             raise MisalignedFrames("price and temperature series must share dates")
         if len(prices) < 2:
             raise InsufficientData("need at least 2 days to form lagged columns")
-        dates = prices.dates[1:]
-        temp = temps.values[:-1]
-        return cls(
-            dates=dates,
-            lag_price=prices.values[:-1],
-            temp_lag=temp,
-            temp_lag_sq=temp ** 2,
-            temp_lag_cu=temp ** 3,
-            weekday=weekday_codes(dates).astype(float),
-        )
+        return cls(dates=prices.dates[1:], lag_price=prices.values[:-1],
+                   temp_lag=temps.values[:-1])
 
     def matrix(self) -> np.ndarray:
         """Design matrix with columns in COLUMNS order, shape (n, 5)."""
         return np.column_stack([getattr(self, c) for c in self.COLUMNS])
 
     def window(self, start: int, stop: int) -> "ExogenousFrame":
-        return ExogenousFrame(
-            self.dates[start:stop],
-            self.lag_price[start:stop],
-            self.temp_lag[start:stop],
-            self.temp_lag_sq[start:stop],
-            self.temp_lag_cu[start:stop],
-            self.weekday[start:stop],
-        )
+        return ExogenousFrame(self.dates[start:stop], self.lag_price[start:stop],
+                              self.temp_lag[start:stop])
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,30 @@ def test_cross_validate_isolates_numeric_fold_errors(monkeypatch):
         cross_validate(combos, plan, cfg, seed=6)
 
 
+def test_cross_validate_rejects_fold_gap(monkeypatch):
+    # a test window that does not start the day after the train window
+    # fails that fold before any fit: forecasting days b+1.. and scoring
+    # them against days c..d would compare different days
+    import spotvol.backtest as bt
+    from spotvol.series import FoldPlan
+
+    def no_sample(model, cfg, seed):
+        raise AssertionError("a gapped fold must not be fitted")
+
+    monkeypatch.setattr(bt, "sample", no_sample)
+    truth, y, frame = _cv_material(n_days=80, seed=5)
+    plan = FoldPlan(((0, 59, 65, 74),), 60, 10)
+    combos = [CvCombination("baseline", 14, 1, y, exog=frame),
+              CvCombination("svx", 14, 1, y, exog=frame)]
+    summary = cross_validate(combos, plan,
+                             BacktestConfig(sampler=fast_sampler()), seed=2)
+    for combo in combos:
+        assert summary.reports[combo.model_id] == []
+        [(fold_id, msg)] = summary.failures[combo.model_id]
+        assert fold_id == 0
+        assert msg.startswith("SpotvolError: test window starts on day 65")
+
+
 def test_cross_validate_max_workers_is_ignored():
     _, _, truth = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
                                        n_days=100, mean_price=1000.0, seed=9))
@@ -268,21 +292,28 @@ def test_rolling_forecast_bookkeeping():
 
 
 def test_rolling_forecast_single_day_equals_direct():
+    # each day's column is a direct one-day fit and forecast on the window
+    # shifted by that many days, with that day's pair of seeds
     from spotvol import BaselineSvModel, forecast as direct_forecast, sample
 
     truth, y, frame = _cv_material(n_days=372, seed=78)
     combo = CvCombination("baseline", hour=14, zone=1, series=y, exog=frame)
     cfg = BacktestConfig(sampler=fast_sampler(), n_draws=300, max_workers=1)
     first_train = (str(y.dates[0]), str(y.dates[359]))
-    res = rolling_forecast(combo, first_train, 1, cfg, seed=33)
+    res = rolling_forecast(combo, first_train, 2, cfg, seed=33)
 
-    seeds = np.random.SeedSequence(33).spawn(2)
-    model = BaselineSvModel(y.window(0, 360))
-    fit = sample(model, cfg.sampler, int(seeds[0].generate_state(1)[0]))
-    fc = direct_forecast(fit, 1, n_draws=300, mode=cfg.mode,
-                         vol_mode=cfg.vol_mode,
-                         seed=int(seeds[1].generate_state(1)[0]))
-    assert np.array_equal(res.forecast.draws[:, 0], fc.draws[:, 0])
+    assert res.forecast.vol_draws is not None
+    assert res.forecast.vol_draws.shape == res.forecast.draws.shape == (300, 2)
+    seeds = np.random.SeedSequence(33).spawn(4)
+    for j in range(2):
+        model = BaselineSvModel(y.window(j, 360 + j))
+        fit = sample(model, cfg.sampler,
+                     int(seeds[2 * j].generate_state(1)[0]))
+        fc = direct_forecast(fit, 1, n_draws=300, mode=cfg.mode,
+                             vol_mode=cfg.vol_mode,
+                             seed=int(seeds[2 * j + 1].generate_state(1)[0]))
+        assert np.array_equal(res.forecast.draws[:, j], fc.draws[:, 0])
+        assert np.array_equal(res.forecast.vol_draws[:, j], fc.vol_draws[:, 0])
 
 
 def test_rolling_forecast_noise_floor():
