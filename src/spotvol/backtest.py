@@ -114,6 +114,10 @@ class BacktestConfig:
     vol_mode: VolMode = VolMode.PROPAGATE
     max_workers: int | None = None
 
+    def __post_init__(self):
+        self.mode = PpdMode(self.mode)
+        self.vol_mode = VolMode(self.vol_mode)
+
 
 # errors that fail one fold but not the grid; ValueError covers
 # np.linalg.LinAlgError, ArithmeticError covers FloatingPointError

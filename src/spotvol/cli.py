@@ -70,8 +70,9 @@ def _write_manifest(cfg: RunConfig, command: str, outdir: Path,
 
 def _load_series(cfg: RunConfig, hour: int, zone: int, need_weather: bool):
     """Price series at (hour, zone), plus the aligned exogenous frame and
-    same-day temperature series when weather data is configured. The first
-    day is dropped whenever a frame is built (no lag available there)."""
+    same-day temperature series when weather data is configured, and the
+    parsed hourly price table. The first day is dropped whenever a frame is
+    built (no lag available there)."""
     prices = load_prices(cfg.data_path("prices", zone))
     series = select_hour(prices, hour, Zone(zone))
     frame = temps_aligned = None
@@ -81,7 +82,7 @@ def _load_series(cfg: RunConfig, hour: int, zone: int, need_weather: bool):
         frame = ExogenousFrame.from_daily(series, temps)
         series = series.window(1, len(series))
         temps_aligned = temps.window(1, len(temps))
-    return series, frame, temps_aligned
+    return series, frame, temps_aligned, prices
 
 
 def _align_to_fit(fit: PosteriorFit, series, frame):
@@ -127,8 +128,8 @@ def _fit_stdout_summary(fit: PosteriorFit) -> str:
 def cmd_fit(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    series, frame, _ = _load_series(cfg, cfg.hour, cfg.zone,
-                                    need_weather=cfg.model == "svx")
+    series, frame, _, _ = _load_series(cfg, cfg.hour, cfg.zone,
+                                       need_weather=cfg.model == "svx")
     train_days = cfg.get("fit", "train_days")
     if train_days:
         series = series.window(0, int(train_days))
@@ -159,7 +160,8 @@ def cmd_forecast(cfg: RunConfig, fit_path) -> int:
 
     exog_future = None
     if fit.model_family == "svx":
-        _, frame, _ = _load_series(cfg, cfg.hour, cfg.zone, need_weather=True)
+        _, frame, _, _ = _load_series(cfg, cfg.hour, cfg.zone,
+                                      need_weather=True)
         last = np.datetime64(fit.train_summary["last_date"], "D")
         start = int(np.searchsorted(frame.dates, last)) + 1
         if start > len(frame) or frame.dates[start - 1] != last \
@@ -197,8 +199,8 @@ def cmd_cv(cfg: RunConfig) -> int:
         family = entry.get("family", "baseline")
         hour = int(entry.get("hour", cfg.hour))
         zone = int(entry.get("zone", cfg.zone))
-        series, frame, _ = _load_series(cfg, hour, zone,
-                                        need_weather=has_weather)
+        series, frame, _, _ = _load_series(cfg, hour, zone,
+                                           need_weather=has_weather)
         combos.append(CvCombination(family=family, hour=hour, zone=zone,
                                     series=series, exog=frame))
 
@@ -244,14 +246,13 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     fit_path = fit_path or section.get("fit")
     has_weather = bool(cfg.get("data", "weather"))
 
-    series, frame, temps = _load_series(cfg, cfg.hour, cfg.zone,
-                                        need_weather=has_weather)
+    series, frame, temps, prices = _load_series(
+        cfg, cfg.hour, cfg.zone, need_weather=has_weather)
     y = series.values
     report: dict = {}
 
     try:  # needs records at every hour; single-hour exports skip it
-        report["hourly_profile"] = hourly_profile(
-            load_prices(cfg.data_path("prices", cfg.zone))).tolist()
+        report["hourly_profile"] = hourly_profile(prices).tolist()
     except SpotvolError:
         pass
 

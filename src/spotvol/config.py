@@ -25,19 +25,16 @@ _SAMPLER_KEYS = {
     "draws": "draws",
     "leapfrog_steps": "leapfrog_steps",
     "target_accept": "target_accept",
-    "step_jitter": "step_jitter",
     "max_workers": "max_workers",
 }
 
 
-def _resolve_paths(node, base: Path):
-    """Make every *.csv/.json-looking string under data/fit keys absolute."""
-    if isinstance(node, dict):
-        return {k: _resolve_paths(v, base) for k, v in node.items()}
-    if isinstance(node, str):
-        p = Path(node)
-        return str(p if p.is_absolute() else (base / p).resolve())
-    return node
+def _absolute(path, base: Path) -> str:
+    """`path` made absolute against `base`; config paths must be strings."""
+    if not isinstance(path, str):
+        raise ConfigError(f"expected a path string, got {path!r}")
+    p = Path(path)
+    return str(p if p.is_absolute() else (base / p).resolve())
 
 
 @dataclass
@@ -63,15 +60,11 @@ class RunConfig:
         base = Path(base_dir) if base_dir is not None else Path.cwd()
         if "data" in raw:
             raw["data"] = _normalize_data(raw["data"], base)
-        if raw.get("output_dir"):
-            out = Path(raw["output_dir"])
-            raw["output_dir"] = str(out if out.is_absolute()
-                                    else (base / out).resolve())
+        if "output_dir" in raw:
+            raw["output_dir"] = _absolute(raw["output_dir"], base)
         diag = raw.get("diagnose") or {}
         if diag.get("fit"):
-            diag = dict(diag)
-            diag["fit"] = _resolve_paths(diag["fit"], base)
-            raw["diagnose"] = diag
+            raw["diagnose"] = {**diag, "fit": _absolute(diag["fit"], base)}
         cfg = cls(raw)
         cfg._validate_common()
         return cfg
@@ -201,7 +194,7 @@ def _normalize_data(data, base: Path) -> dict:
                 z = int(zone)
             except (TypeError, ValueError):
                 raise ConfigError(f"data.{kind} zone key {zone!r} is not an integer")
-            norm[str(z)] = _resolve_paths(path, base)
+            norm[str(z)] = _absolute(path, base)
         out[kind] = norm
     return out
 

@@ -27,6 +27,8 @@ RHAT_WARN = 1.05
 INIT_BUFFER = 75
 TERM_BUFFER = 50
 BASE_WINDOW = 25
+# each transition scales the step size by a uniform factor in 1 +- this
+STEP_JITTER = 0.1
 
 
 @dataclass
@@ -39,7 +41,6 @@ class SamplerConfig:
     draws: int = 1000          # kept per chain
     leapfrog_steps: int = 32
     target_accept: float = 0.8
-    step_jitter: float = 0.1
     max_workers: int | None = None
 
     def validate(self):
@@ -152,7 +153,7 @@ def _run_chain(model, cfg: SamplerConfig, seed_seq):
     window_draws = []
 
     def one_step(theta, lp, grad, eps_now):
-        jitter = 1.0 + cfg.step_jitter * (2.0 * rng.random() - 1.0)
+        jitter = 1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0)
         eps_j = eps_now * jitter
         p0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
         h0 = -lp + 0.5 * float(np.dot(p0 * p0, inv_mass))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import FeatureNotInModel, LengthMismatch
-from .models import COEF_NAMES
+from .models import COEF_NAMES, mean_values
 from .posterior import PosteriorFit
 from .stats import pearson
 
@@ -45,7 +45,7 @@ def pd_ice(fit: PosteriorFit, model, feature: str, grid_size: int = 25) -> PdCur
         raise FeatureNotInModel(f"unknown feature {feature!r}")
 
     raw = model.raw_design            # columns per ExogenousFrame.COLUMNS
-    coeffs = np.array([fit.column(n).mean() for n in COEF_NAMES])
+    coeffs = np.array([[fit.column(n).mean() for n in COEF_NAMES]])
     std = model.standardizer
 
     temp = raw[:, 1]
@@ -73,7 +73,7 @@ def pd_ice(fit: PosteriorFit, model, feature: str, grid_size: int = 25) -> PdCur
         else:
             mod[:, 4] = g
         z = std.transform(mod)
-        ice[:, j] = model.ybar + z @ coeffs[:-1] + coeffs[-1]
+        ice[:, j] = mean_values(model.ybar, z, coeffs)[0]
 
     return PdCurve(
         feature=feature,

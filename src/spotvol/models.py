@@ -61,20 +61,16 @@ class BaselineSvModel:
 
     kind = "baseline"
 
-    def __init__(self, y: PriceSeries | np.ndarray, hour=None, zone=None, dates=None):
-        if isinstance(y, DailySeries):
-            dates = y.dates
-            hour = y.hour
-            zone = getattr(y, "zone", None)
-            y = y.values
-        self.y = np.ascontiguousarray(y, dtype=np.float64)
+    def __init__(self, y: DailySeries):
+        self.y = np.ascontiguousarray(y.values, dtype=np.float64)
         self.T = len(self.y)
         if self.T < 10:
             raise InsufficientData(f"need at least 10 observations, got {self.T}")
         self.ybar = float(self.y.mean())
-        self.hour = hour
+        self.hour = y.hour
+        zone = getattr(y, "zone", None)
         self.zone = int(zone) if zone is not None else None
-        self.dates = dates
+        self.dates = y.dates
         self.n_coef = 0
         self.design = kernels.EMPTY_DESIGN
         self.dim = 3 + self.T
@@ -107,17 +103,15 @@ class BaselineSvModel:
     # -- bookkeeping for prediction ----------------------------------------
 
     def train_summary(self) -> dict:
-        d = {
+        return {
             "family": self.kind,
             "ybar": self.ybar,
             "n_obs": self.T,
             "hour": self.hour,
             "zone": self.zone,
+            "first_date": str(self.dates[0]),
+            "last_date": str(self.dates[-1]),
         }
-        if self.dates is not None:
-            d["first_date"] = str(self.dates[0])
-            d["last_date"] = str(self.dates[-1])
-        return d
 
 
 class SvxModel(BaselineSvModel):
@@ -148,19 +142,18 @@ class SvxModel(BaselineSvModel):
         return d
 
 
-def mean_values(ybar: float, design_std: np.ndarray | None, coeffs: np.ndarray | None):
-    """Observation mean per day.
+def mean_values(ybar: float, design_std: np.ndarray | None,
+                coeffs: np.ndarray | None):
+    """Observation mean per day under each row of coefficients.
 
-    ``coeffs`` is the standardized-scale coefficient vector (w_1..w_k, xi);
-    pass None for the baseline family. Supports a (k+1,) vector or an
-    (n_draws, k+1) matrix; returns (T,) or (T, n_draws) accordingly.
+    ``design_std`` is the (T, k) standardized design and ``coeffs`` a
+    (rows, k+1) matrix whose rows are (w_1..w_k, xi) on that scale; the
+    result is (rows, T). Pass None for the baseline family, whose mean is
+    the scalar ``ybar``.
     """
     if coeffs is None:
         return ybar
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        return ybar + design_std @ coeffs[:-1] + coeffs[-1]
-    return ybar + design_std @ coeffs[:, :-1].T + coeffs[:, -1][None, :]
+    return (ybar + design_std @ coeffs[:, :-1].T + coeffs[:, -1]).T
 
 
 def raw_coefficients(fit, std: Standardizer | None = None) -> dict:

@@ -108,8 +108,18 @@ def _check_fit(fit: PosteriorFit):
         raise ModeUnsupported("fit carries no posterior draws")
 
 
-def _coef_draws(fit: PosteriorFit) -> np.ndarray:
-    return np.column_stack([fit.column(n) for n in COEF_NAMES])
+def _conditioning(fit: PosteriorFit, mode: PpdMode, n_draws: int,
+                  idx_seq, names) -> np.ndarray:
+    """The named columns of the posterior rows the predictive draws
+    condition on: `n_draws` rows drawn with replacement (index stream
+    `idx_seq`) under FULL_POSTERIOR, one row of column means under
+    POINT_ESTIMATE."""
+    where = {n: j for j, n in enumerate(fit.param_names)}
+    cols = [where[n] for n in names]
+    if mode is PpdMode.FULL_POSTERIOR:
+        idx = np.random.default_rng(idx_seq).integers(0, len(fit.draws), n_draws)
+        return fit.draws[np.ix_(idx, cols)]
+    return fit.draws[:, cols].mean(axis=0, keepdims=True)
 
 
 def ppd_insample(fit: PosteriorFit, model, n_draws: int = 1000,
@@ -122,24 +132,14 @@ def ppd_insample(fit: PosteriorFit, model, n_draws: int = 1000,
     idx_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     z = np.random.default_rng(noise_seq).standard_normal((n_draws, model.T))
 
-    h_all = fit.h_draws()
-    is_svx = model.kind == "svx"
-    if mode is PpdMode.FULL_POSTERIOR:
-        idx = np.random.default_rng(idx_seq).integers(0, len(fit.draws), n_draws)
-        h = h_all[idx]                                   # (n_draws, T)
-        coeffs = _coef_draws(fit)[idx] if is_svx else None
-        m = mean_values(model.ybar, model.design, coeffs)
-        m = m.T if is_svx else m                         # (n_draws, T) | scalar
-    else:
-        h = h_all.mean(axis=0)[None, :]                  # (1, T)
-        coeffs = _coef_draws(fit).mean(axis=0) if is_svx else None
-        m = mean_values(model.ybar, model.design, coeffs)  # (T,) | scalar
-
-    vols = np.exp(h / 2.0)
+    k = len(COEF_NAMES) if model.kind == "svx" else 0
+    rows = _conditioning(fit, mode, n_draws, idx_seq,
+                         COEF_NAMES[:k] + model.param_names[-model.T:])
+    m = mean_values(model.ybar, model.design, rows[:, :k] if k else None)
+    vols = np.exp(rows[:, k:] / 2.0)
     draws = m + vols * z
-    dates = model.dates if getattr(model, "dates", None) is not None else None
     return ForecastSet.from_draws(draws, np.broadcast_to(vols, draws.shape),
-                                  mode, None, dates)
+                                  mode, None, model.dates)
 
 
 def forecast(fit: PosteriorFit, horizon: int, n_draws: int = 1000,
@@ -159,8 +159,8 @@ def forecast(fit: PosteriorFit, horizon: int, n_draws: int = 1000,
     vol_mode = VolMode(vol_mode)
     ts = fit.train_summary
     family = fit.model_family or ts.get("family", "baseline")
-    ybar = float(ts["ybar"])
 
+    z_future = None
     if family == "svx":
         if exog_future is None:
             raise MissingExogenous("svx forecasting requires exog_future")
@@ -173,42 +173,22 @@ def forecast(fit: PosteriorFit, horizon: int, n_draws: int = 1000,
     idx_seq, shock_seq, noise_seq = np.random.SeedSequence(seed).spawn(3)
     z = np.random.default_rng(noise_seq).standard_normal((n_draws, horizon))
 
-    h_all = fit.h_draws()
-    if mode is PpdMode.FULL_POSTERIOR:
-        idx = np.random.default_rng(idx_seq).integers(0, len(fit.draws), n_draws)
-        mu = fit.column("mu")[idx]
-        phi = fit.column("phi")[idx]
-        sigma = fit.column("sigma")[idx]
-        h_last = h_all[idx, -1]
-        coeffs = _coef_draws(fit)[idx] if family == "svx" else None
-    else:
-        mu = np.full(n_draws, fit.column("mu").mean())
-        phi = np.full(n_draws, fit.column("phi").mean())
-        sigma = np.full(n_draws, fit.column("sigma").mean())
-        h_last = np.full(n_draws, h_all[:, -1].mean())
-        coeffs = (_coef_draws(fit).mean(axis=0) if family == "svx" else None)
+    k = len(COEF_NAMES) if family == "svx" else 0
+    rows = _conditioning(fit, mode, n_draws, idx_seq,
+                         COEF_NAMES[:k] + ("mu", "phi", "sigma",
+                                           f"h[{ts['n_obs'] - 1}]"))
+    m = mean_values(float(ts["ybar"]), z_future, rows[:, :k] if k else None)
+    mu, phi, sigma, h = rows[:, k:].T
 
     if vol_mode is VolMode.PROPAGATE:
         delta = np.random.default_rng(shock_seq).standard_normal((n_draws, horizon))
-
-    draws = np.empty((n_draws, horizon))
     vols = np.empty((n_draws, horizon))
-    h_prev = h_last
-    for k in range(horizon):
+    for j in range(horizon):
         if vol_mode is VolMode.PROPAGATE:
-            h_k = mu + phi * (h_prev - mu) + sigma * delta[:, k]
-            h_prev = h_k
-        else:
-            h_k = h_last
-        if family == "svx":
-            if coeffs.ndim == 1:
-                m_k = ybar + z_future[k] @ coeffs[:-1] + coeffs[-1]
-            else:
-                m_k = ybar + coeffs[:, :-1] @ z_future[k] + coeffs[:, -1]
-        else:
-            m_k = ybar
-        vols[:, k] = np.exp(h_k / 2.0)
-        draws[:, k] = m_k + vols[:, k] * z[:, k]
+            h = mu + phi * (h - mu) + sigma * delta[:, j]
+        vols[:, j] = np.exp(h / 2.0)
+    draws = vols * z
+    draws += m
 
     dates = None
     if "last_date" in ts:

@@ -338,3 +338,21 @@ def test_rolling_forecast_insufficient_future():
     with pytest.raises(InsufficientFutureData):
         rolling_forecast(combo, (str(y.dates[0]), str(y.dates[359])),
                          30, cfg, seed=1)
+
+
+def test_rolling_forecast_string_modes_serialize(monkeypatch):
+    # the config file hands the modes over as strings; the rolling
+    # forecast set must still serialize them
+    import spotvol.backtest as bt
+    from tests.conftest import degenerate_fit
+
+    monkeypatch.setattr(bt, "sample",
+                        lambda model, cfg, seed: degenerate_fit(model))
+    truth, y, frame = _cv_material(n_days=80, seed=5)
+    combo = CvCombination("baseline", hour=14, zone=1, series=y, exog=frame)
+    cfg = BacktestConfig(sampler=fast_sampler(), n_draws=100, mode="point",
+                         vol_mode="hold")
+    res = rolling_forecast(combo, (str(y.dates[0]), str(y.dates[59])), 1,
+                           cfg, seed=3)
+    doc = res.forecast.to_json_dict()
+    assert doc["mode"] == "point" and doc["vol_mode"] == "hold"

@@ -195,6 +195,17 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"data": {"prices": {1: 5}}},
+    {"output_dir": 5},
+    {"data": {"prices": {1: {"x": 1}}}},
+])
+def test_non_string_config_paths_reported(tmp_path, capsys, override):
+    cfg = {**base_config(tmp_path / "out"), **override}
+    assert main(["fit", "-c", str(write_config(tmp_path, cfg))]) == 1
+    assert "error [ConfigError]" in capsys.readouterr().err
+
+
 def test_missing_price_path_reported(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     del cfg["data"]["prices"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from spotvol import (
     volatility_path,
 )
 from spotvol.errors import HorizonZero, MissingExogenous, ModeUnsupported
+from spotvol.posterior import PosteriorFit
 from tests.conftest import degenerate_fit
 
 
@@ -173,3 +176,37 @@ def test_forecast_csv_round_trip(tmp_path, baseline_truth):
     assert len(rows) == 5
     got = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.array_equal(got, out.mean)
+
+
+def _random_fit(T, n_draws, seed=0) -> PosteriorFit:
+    """Baseline fit whose draws vary, so point estimates are real means."""
+    rng = np.random.default_rng(seed)
+    names = ["mu", "phi", "sigma"] + [f"h[{t}]" for t in range(T)]
+    draws = rng.normal(-1.0, 0.3, (n_draws, len(names)))
+    return PosteriorFit(
+        draws=draws, param_names=names, n_chains=2,
+        kept_per_chain=n_draws // 2, diagnostics={}, summary={},
+        train_summary={"family": "baseline", "ybar": 100.0, "n_obs": T,
+                       "last_date": "2024-01-01"},
+        model_family="baseline")
+
+
+@pytest.mark.parametrize("mode", list(PpdMode))
+def test_forecast_reads_only_the_columns_it_needs(mode):
+    # a 16 MB latent block: forecasting one day must not copy it
+    fit = _random_fit(T=2000, n_draws=1000)
+    tracemalloc.start()
+    try:
+        forecast(fit, 1, n_draws=200, mode=mode, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 ** 2
+
+
+def test_point_forecast_holds_mean_last_volatility():
+    fit = _random_fit(T=50, n_draws=400, seed=2)
+    out = forecast(fit, 3, n_draws=100, mode=PpdMode.POINT_ESTIMATE,
+                   vol_mode=VolMode.HOLD, seed=5)
+    expected = np.exp(fit.column("h[49]").mean() / 2.0)
+    assert np.all(out.vol_draws == expected)
