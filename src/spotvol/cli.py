@@ -14,13 +14,14 @@ import argparse
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, CvCombination, cross_validate
-from .config import RunConfig
+from .config import RunConfig, typed
 from .errors import (
     ConfigError,
     IncompatibleFit,
@@ -45,7 +46,13 @@ from .models import (
     raw_coefficients,
 )
 from .posterior import PosteriorFit
-from .predictive import forecast, ppd_insample, volatility_path
+from .predictive import (
+    PpdMode,
+    VolMode,
+    forecast,
+    ppd_insample,
+    volatility_path,
+)
 from .series import ExogenousFrame, Zone, build_folds, hourly_profile, select_hour
 from .stats import adf_test, kmeans2, pacf, polyfit_cubic
 
@@ -130,11 +137,11 @@ def cmd_fit(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     series, frame, _, _ = _load_series(cfg, cfg.hour, cfg.zone,
                                        need_weather=cfg.model == "svx")
-    train_days = cfg.get("fit", "train_days")
+    train_days = typed("fit", cfg.section("fit"), "train_days", int, None)
     if train_days:
-        series = series.window(0, int(train_days))
+        series = series.window(0, train_days)
         if frame is not None:
-            frame = frame.window(0, int(train_days))
+            frame = frame.window(0, train_days)
     if cfg.model == "svx":
         model = SvxModel(series, frame)
     else:
@@ -188,30 +195,34 @@ def cmd_forecast(cfg: RunConfig, fit_path) -> int:
 def cmd_cv(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    section = cfg.get("cv", default={}) or {}
+    section = cfg.section("cv")
+    value = partial(typed, "cv", section)
     combos_cfg = section.get("combinations")
-    if not combos_cfg:
+    if not isinstance(combos_cfg, list) or not combos_cfg:
         raise ConfigError("cv.combinations must list at least one entry")
 
     has_weather = bool(cfg.get("data", "weather"))
     combos = []
-    for entry in combos_cfg:
+    for i, entry in enumerate(combos_cfg):
+        where = f"cv.combinations[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be a mapping, got {entry!r}")
         family = entry.get("family", "baseline")
-        hour = int(entry.get("hour", cfg.hour))
-        zone = int(entry.get("zone", cfg.zone))
+        hour = typed(where, entry, "hour", int, cfg.hour)
+        zone = typed(where, entry, "zone", int, cfg.zone)
         series, frame, _, _ = _load_series(cfg, hour, zone,
                                            need_weather=has_weather)
         combos.append(CvCombination(family=family, hour=hour, zone=zone,
                                     series=series, exog=frame))
 
-    total = section.get("total_days") or min(len(c.series) for c in combos)
-    plan = build_folds(int(total), int(section.get("train_days", 360)),
-                       int(section.get("test_days", 90)))
+    total = value("total_days", int, None) or min(len(c.series) for c in combos)
+    plan = build_folds(total, value("train_days", int, 360),
+                       value("test_days", int, 90))
     bt_cfg = BacktestConfig(
         sampler=cfg.sampler_config(),
-        n_draws=int(section.get("n_draws", 1000)),
-        mode=section.get("mode", "point"),
-        vol_mode=section.get("vol_mode", "propagate"),
+        n_draws=value("n_draws", int, 1000),
+        mode=value("mode", PpdMode, PpdMode.POINT_ESTIMATE),
+        vol_mode=value("vol_mode", VolMode, VolMode.PROPAGATE),
         max_workers=section.get("max_workers"),
     )
     log.info("cross-validating %d combinations over %d folds",
@@ -242,7 +253,8 @@ def cmd_cv(cfg: RunConfig) -> int:
 def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    section = cfg.get("diagnose", default={}) or {}
+    section = cfg.section("diagnose")
+    value = partial(typed, "diagnose", section)
     fit_path = fit_path or section.get("fit")
     has_weather = bool(cfg.get("data", "weather"))
 
@@ -256,14 +268,13 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     except SpotvolError:
         pass
 
-    adf = adf_test(y, max_lags=section.get("adf_max_lags"))
+    adf = adf_test(y, max_lags=value("adf_max_lags", int, None))
     report["adf"] = {
         "statistic": adf.statistic, "p_value": adf.p_value,
         "n_lags_used": adf.n_lags_used, "conclusion": adf.conclusion.value,
     }
 
-    max_lag = int(section.get("pacf_max_lag", 42))
-    max_lag = min(max_lag, len(y) // 4 - 1)
+    max_lag = min(value("pacf_max_lag", int, 42), len(y) // 4 - 1)
     pacf_vals = pacf(y, max_lag)
     report["pacf"] = pacf_vals.tolist()
     write_csv(outdir / "pacf.csv", ["lag", "pacf"],
@@ -288,7 +299,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
             model = SvxModel(series, frame)
         else:
             model = BaselineSvModel(series)
-        ppd = ppd_insample(fit, model, n_draws=int(section.get("n_draws", 1000)),
+        ppd = ppd_insample(fit, model, n_draws=value("n_draws", int, 1000),
                            seed=cfg.seed)
         res = residual_report(y, ppd.mean)
         report["residuals"] = {
@@ -312,7 +323,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
             report["raw_coefficients"] = raw_coefficients(fit)
             for feature in ("temperature", "weekday"):
                 curve = pd_ice(fit, model, feature,
-                               grid_size=int(section.get("pd_grid_size", 25)))
+                               grid_size=value("pd_grid_size", int, 25))
                 report[f"pd_{feature}"] = {
                     "grid": curve.grid.tolist(),
                     "pd": curve.pd.tolist(),
@@ -453,7 +464,14 @@ def _config_from_args(args) -> tuple:
     """Resolve (config, extra) from --config or --from-manifest."""
     manifest_args = {}
     if getattr(args, "from_manifest", None):
-        doc = json.loads(Path(args.from_manifest).read_text())
+        try:
+            doc = json.loads(Path(args.from_manifest).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read manifest {args.from_manifest}: "
+                              f"{exc}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+            raise ConfigError(
+                f"manifest {args.from_manifest} holds no config mapping")
         if doc.get("command") != args.command:
             raise ConfigError(
                 f"manifest was written by {doc.get('command')!r}, "

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -20,13 +21,14 @@ from .ingest import SvxCoeffs, SynthSpec, TempSpec
 from .predictive import PpdMode, VolMode
 
 _SAMPLER_KEYS = {
-    "chains": "n_chains",
-    "warmup": "warmup",
-    "draws": "draws",
-    "leapfrog_steps": "leapfrog_steps",
-    "target_accept": "target_accept",
-    "max_workers": "max_workers",
+    "chains": ("n_chains", int),
+    "warmup": ("warmup", int),
+    "draws": ("draws", int),
+    "leapfrog_steps": ("leapfrog_steps", int),
+    "target_accept": ("target_accept", float),
+    "max_workers": ("max_workers", int),
 }
+_MISSING = object()
 
 
 def _absolute(path, base: Path) -> str:
@@ -35,6 +37,26 @@ def _absolute(path, base: Path) -> str:
         raise ConfigError(f"expected a path string, got {path!r}")
     p = Path(path)
     return str(p if p.is_absolute() else (base / p).resolve())
+
+
+def typed(where: str, mapping: dict, key: str, kind, default=_MISSING):
+    """``mapping[key]`` converted by `kind` (int, float, str or an enum).
+
+    An absent or null key gives `default`, unconverted, and is an error
+    when no default is given. `where` names the mapping in the
+    ``ConfigError`` raised for a missing key or a value that does not
+    convert.
+    """
+    value = mapping.get(key)
+    if value is None:
+        if default is _MISSING:
+            raise ConfigError(f"config key '{where}.{key}' is required")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key '{where}.{key}': {value!r} is not a "
+                          f"valid {kind.__name__}") from None
 
 
 @dataclass
@@ -62,10 +84,10 @@ class RunConfig:
             raw["data"] = _normalize_data(raw["data"], base)
         if "output_dir" in raw:
             raw["output_dir"] = _absolute(raw["output_dir"], base)
-        diag = raw.get("diagnose") or {}
+        cfg = cls(raw)
+        diag = cfg.section("diagnose")
         if diag.get("fit"):
             raw["diagnose"] = {**diag, "fit": _absolute(diag["fit"], base)}
-        cfg = cls(raw)
         cfg._validate_common()
         return cfg
 
@@ -77,6 +99,16 @@ class RunConfig:
             if not isinstance(node, dict) or k not in node:
                 return default
             node = node[k]
+        return node
+
+    def section(self, name: str) -> dict:
+        """The top-level mapping `name`; ``{}`` when it is absent or null."""
+        node = self.raw.get(name)
+        if node is None:
+            return {}
+        if not isinstance(node, dict):
+            raise ConfigError(f"config key {name!r} must be a mapping, "
+                              f"got {node!r}")
         return node
 
     def require(self, *keys):
@@ -134,38 +166,40 @@ class RunConfig:
         return p
 
     def sampler_config(self) -> SamplerConfig:
-        section = self.get("sampler", default={}) or {}
-        kwargs = {}
-        for key, attr in _SAMPLER_KEYS.items():
-            if key in section and section[key] is not None:
-                kwargs[attr] = section[key]
-        return SamplerConfig(**kwargs)
+        section = self.section("sampler")
+        return SamplerConfig(**{
+            attr: typed("sampler", section, key, kind)
+            for key, (attr, kind) in _SAMPLER_KEYS.items()
+            if section.get(key) is not None})
 
     def forecast_settings(self) -> dict:
-        section = self.get("forecast", default={}) or {}
+        section = self.section("forecast")
         return {
-            "horizon": int(section.get("horizon", 7)),
-            "n_draws": int(section.get("n_draws", 1000)),
-            "mode": PpdMode(section.get("mode", "point")),
-            "vol_mode": VolMode(section.get("vol_mode", "propagate")),
+            "horizon": typed("forecast", section, "horizon", int, 7),
+            "n_draws": typed("forecast", section, "n_draws", int, 1000),
+            "mode": typed("forecast", section, "mode", PpdMode,
+                          PpdMode.POINT_ESTIMATE),
+            "vol_mode": typed("forecast", section, "vol_mode", VolMode,
+                              VolMode.PROPAGATE),
         }
 
     def synth_spec(self) -> SynthSpec:
-        section = self.require("synth")
+        section = self.section("synth")
+        value = partial(typed, "synth", section)
         svx = section.get("svx")
         temp = section.get("temp") or {}
         return SynthSpec(
-            mu=float(section["mu"]),
-            phi=float(section["phi"]),
-            sigma=float(section["sigma"]),
-            n_days=int(section["n_days"]),
-            mean_price=float(section["mean_price"]),
+            mu=value("mu", float),
+            phi=value("phi", float),
+            sigma=value("sigma", float),
+            n_days=value("n_days", int),
+            mean_price=value("mean_price", float),
             seed=self.seed,
-            start_date=str(section.get("start_date", "2020-01-01")),
-            hour=int(section.get("hour", self.hour)),
-            zone=int(section.get("zone", self.zone)),
-            hourly_amp_price=float(section.get("hourly_amp_price", 0.0)),
-            hourly_amp_temp=float(section.get("hourly_amp_temp", 0.0)),
+            start_date=value("start_date", str, "2020-01-01"),
+            hour=value("hour", int, self.hour),
+            zone=value("zone", int, self.zone),
+            hourly_amp_price=value("hourly_amp_price", float, 0.0),
+            hourly_amp_temp=value("hourly_amp_temp", float, 0.0),
             svx=SvxCoeffs(**svx) if svx else None,
             temp=TempSpec(**temp),
         )
@@ -198,5 +232,3 @@ def _normalize_data(data, base: Path) -> dict:
         out[kind] = norm
     return out
 
-
-_MISSING = object()

@@ -6,14 +6,31 @@ import numpy as np
 
 from .errors import TooFewDraws
 
+# parameters per ESS pass: bounds the FFT work arrays to a few MB, where one
+# pass over all T+9 parameters of a T=3500 fit peaks near 200 MB
+ESS_BLOCK = 16
 
-def _split_chains(chains: np.ndarray) -> np.ndarray:
-    """(m, n, ...) -> (2m, n // 2, ...), dropping one draw when n is odd."""
-    m, n = chains.shape[0], chains.shape[1]
-    half = n // 2
-    first = chains[:, :half]
-    second = chains[:, n - half:]
-    return np.concatenate([first, second], axis=0)
+
+def _chain_array(chains) -> np.ndarray:
+    """Draws of shape (chains, draws) or (chains, draws, params) as a float
+    (chains, draws, params) array with at least 2 chains and 4 draws."""
+    chains = np.asarray(chains, dtype=float)
+    if chains.ndim == 2:
+        chains = chains[..., None]
+    if chains.shape[0] < 2:
+        raise TooFewDraws("need at least 2 chains")
+    if chains.shape[1] < 4:
+        raise TooFewDraws("need at least 4 draws per chain")
+    return chains
+
+
+def _variances(x: np.ndarray):
+    """W (mean within-chain variance) and var+ (W shrunk by (n-1)/n plus the
+    between-chain variance of the means) per parameter of x, shape
+    (chains, draws, params)."""
+    n = x.shape[1]
+    w = x.var(axis=1, ddof=1).mean(axis=0)
+    return w, (n - 1) / n * w + x.mean(axis=1).var(axis=0, ddof=1)
 
 
 def split_rhat(chains: np.ndarray):
@@ -31,26 +48,13 @@ def split_rhat(chains: np.ndarray):
     zero_variance : ndarray of bool
         Flags parameters where every split sequence was constant.
     """
-    chains = np.asarray(chains, dtype=float)
-    if chains.ndim == 2:
-        chains = chains[..., None]
-    if chains.shape[0] < 2:
-        raise TooFewDraws("need at least 2 chains")
-    if chains.shape[1] < 4:
-        raise TooFewDraws("need at least 4 draws per chain")
-
-    seqs = _split_chains(chains)           # (2m, n', p)
-    n = seqs.shape[1]
-    means = seqs.mean(axis=1)              # (2m, p)
-    variances = seqs.var(axis=1, ddof=1)   # (2m, p)
-    w = variances.mean(axis=0)             # (p,)
-    b_over_n = means.var(axis=0, ddof=1)   # B / n'
-    var_plus = (n - 1) / n * w + b_over_n
-
+    chains = _chain_array(chains)
+    half = chains.shape[1] // 2  # an odd draw count drops the middle draw
+    w, var_plus = _variances(np.concatenate(
+        [chains[:, :half], chains[:, chains.shape[1] - half:]], axis=0))
     zero = w <= 0
     rhat = np.ones(chains.shape[2])
-    ok = ~zero
-    rhat[ok] = np.sqrt(var_plus[ok] / w[ok])
+    rhat[~zero] = np.sqrt(var_plus[~zero] / w[~zero])
     return rhat, zero
 
 
@@ -59,44 +63,31 @@ def ess(chains: np.ndarray) -> np.ndarray:
 
     Autocorrelations are estimated per chain by FFT, combined across chains
     with the usual between/within variance weighting, then paired sums are
-    truncated at the first negative pair and forced monotone.
+    truncated at the first negative pair and forced monotone. Parameters
+    with zero within-chain variance report chains x draws, the cap.
     """
-    chains = np.asarray(chains, dtype=float)
-    if chains.ndim == 2:
-        chains = chains[..., None]
+    chains = _chain_array(chains)
     m, n, p = chains.shape
-    if m < 2 or n < 4:
-        raise TooFewDraws("need >= 2 chains and >= 4 draws for ess")
-
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    k = (n - 1) // 2  # lag pairs (t, t + 1) for t = 1, 3, ... while t + 1 < n
     out = np.empty(p)
-    for j in range(p):
-        x = chains[:, :, j]
-        chain_var = x.var(axis=1, ddof=1)
-        w = chain_var.mean()
-        if w <= 0:
-            out[j] = float(m * n)
-            continue
-        var_plus = (n - 1) / n * w + x.mean(axis=1).var(ddof=1)
-
-        centered = x - x.mean(axis=1, keepdims=True)
-        nfft = 1 << int(np.ceil(np.log2(2 * n)))
-        f = np.fft.rfft(centered, nfft, axis=1)
-        acov = np.fft.irfft(f * np.conj(f), nfft, axis=1)[:, :n].real / n
-
-        rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
-        rho[0] = 1.0
-
-        tau = 1.0
-        prev_pair = None
-        t = 1
-        while t + 1 < n:
-            pair = rho[t] + rho[t + 1]
-            if pair < 0:
-                break
-            if prev_pair is not None:
-                pair = min(pair, prev_pair)
-            tau += 2.0 * pair
-            prev_pair = pair
-            t += 2
-        out[j] = min(float(m * n), m * n / tau)
+    for lo in range(0, p, ESS_BLOCK):
+        # (m, b, n) with draws contiguous, so every reduction over draws
+        # sums in the same order as it does on one parameter's chains
+        x = np.ascontiguousarray(
+            chains[:, :, lo:lo + ESS_BLOCK].transpose(0, 2, 1))
+        w, var_plus = _variances(x.transpose(0, 2, 1))
+        zero = w <= 0
+        f = np.fft.rfft(x - x.mean(axis=2, keepdims=True), nfft)
+        acov = np.fft.irfft(f * np.conj(f), nfft)[..., :n] / n
+        # a constant parameter would divide 0 by 0; it reports the cap
+        rho = 1.0 - ((w[:, None] - acov.mean(axis=0))
+                     / np.where(zero, 1.0, var_plus)[:, None])
+        pairs = rho[:, 1:2 * k:2] + rho[:, 2:2 * k + 1:2]
+        keep = np.logical_and.accumulate(pairs >= 0, axis=1)
+        steps = np.where(keep, 2.0 * np.minimum.accumulate(pairs, axis=1), 0.0)
+        # sequential sum from 1.0, in lag order
+        tau = np.cumsum(np.column_stack([np.ones(len(w)), steps]), axis=1)[:, -1]
+        out[lo:lo + ESS_BLOCK] = np.where(zero, m * n,
+                                          np.minimum(m * n, m * n / tau))
     return out

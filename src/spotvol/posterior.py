@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import IncompatibleFit
 from .ingest import write_json
 
 
@@ -89,7 +90,11 @@ class PosteriorFit:
 
     @classmethod
     def load(cls, path) -> "PosteriorFit":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_json_dict(json.loads(Path(path).read_text()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise IncompatibleFit(
+                f"cannot read a fit from {path}: {exc!r}") from None
 
 
 def summarize_draws(draws: np.ndarray, param_names) -> dict:

@@ -195,15 +195,58 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", [
-    {"data": {"prices": {1: 5}}},
-    {"output_dir": 5},
-    {"data": {"prices": {1: {"x": 1}}}},
+@pytest.mark.parametrize("command, override", [
+    ("fit", {"data": {"prices": {1: 5}}}),
+    ("fit", {"output_dir": 5}),
+    ("fit", {"data": {"prices": {1: {"x": 1}}}}),
+    ("fit", {"diagnose": 5}),
+    ("fit", {"sampler": 5}),
+    ("fit", {"sampler": [1]}),
+    ("fit", {"sampler": {"chains": "x"}}),
+    ("fit", {"fit": {"train_days": "x"}}),
+    ("forecast", {"forecast": 5}),
+    ("forecast", {"forecast": {"mode": "bogus"}}),
+    ("forecast", {"forecast": {"horizon": "x"}}),
+    ("cv", {"cv": 5}),
+    ("cv", {"cv": {"combinations": [5]}}),
+    ("synth", {"synth": 5}),
+    ("synth", {"synth": {"mu": 1}}),
 ])
-def test_non_string_config_paths_reported(tmp_path, capsys, override):
-    cfg = {**base_config(tmp_path / "out"), **override}
-    assert main(["fit", "-c", str(write_config(tmp_path, cfg))]) == 1
+def test_malformed_config_values_reported(workspace, tmp_path, capsys,
+                                          command, override):
+    # real data and fit, so that only the override can fail the command
+    _, out, _ = workspace
+    cfg = {**base_config(tmp_path / "out"),
+           "data": {"prices": {1: str(out / "prices.csv")},
+                    "weather": {1: str(out / "weather.csv")}},
+           **override}
+    argv = [command, "-c", str(write_config(tmp_path, cfg))]
+    if command == "forecast":
+        argv += ["--fit", str(out / "fit.json")]
+    assert main(argv) == 1
     assert "error [ConfigError]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["forecast", "--fit", "{tmp}/nope.json"], "IncompatibleFit"),
+    (["diagnose", "--fit", "{tmp}/nope.json"], "IncompatibleFit"),
+    (["forecast", "--fit", "{tmp}/not_json.txt"], "IncompatibleFit"),
+    (["forecast", "--from-manifest", "{tmp}/nope.json"], "ConfigError"),
+    (["forecast", "--from-manifest", "{tmp}/no_config.json"], "ConfigError"),
+])
+def test_unreadable_fit_or_manifest_reported(workspace, tmp_path, capsys,
+                                             argv, error):
+    _, out, _ = workspace
+    cfg = {**base_config(tmp_path / "out"),
+           "data": {"prices": {1: str(out / "prices.csv")},
+                    "weather": {1: str(out / "weather.csv")}}}
+    (tmp_path / "not_json.txt").write_text("not json")
+    (tmp_path / "no_config.json").write_text(json.dumps({"command": "forecast"}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--fit" in argv:
+        argv += ["-c", str(write_config(tmp_path, cfg))]
+    assert main(argv) == 1
+    assert f"error [{error}]" in capsys.readouterr().err
 
 
 def test_missing_price_path_reported(tmp_path, capsys):

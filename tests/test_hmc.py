@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from spotvol import BaselineSvModel, SvxModel, rhat, sample, split_rhat
+from spotvol import BaselineSvModel, SvxModel, ess, rhat, sample, split_rhat
 from spotvol.errors import (
     DivergentChains,
     InvalidConfig,
@@ -182,3 +183,90 @@ def test_rhat_too_few():
         split_rhat(np.ones((1, 100)))
     with pytest.raises(TooFewDraws):
         split_rhat(np.ones((2, 3)))
+
+
+def _ess_reference(chains):
+    """The per-parameter, per-lag-pair loop that `ess` replaced."""
+    chains = np.asarray(chains, dtype=float)
+    m, n, p = chains.shape
+    out = np.empty(p)
+    for j in range(p):
+        x = chains[:, :, j]
+        w = x.var(axis=1, ddof=1).mean()
+        if w <= 0:
+            out[j] = float(m * n)
+            continue
+        var_plus = (n - 1) / n * w + x.mean(axis=1).var(ddof=1)
+        centered = x - x.mean(axis=1, keepdims=True)
+        nfft = 1 << int(np.ceil(np.log2(2 * n)))
+        f = np.fft.rfft(centered, nfft, axis=1)
+        acov = np.fft.irfft(f * np.conj(f), nfft, axis=1)[:, :n] / n
+        rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
+        rho[0] = 1.0
+        tau, prev_pair, t = 1.0, None, 1
+        while t + 1 < n:
+            pair = rho[t] + rho[t + 1]
+            if pair < 0:
+                break
+            if prev_pair is not None:
+                pair = min(pair, prev_pair)
+            tau += 2.0 * pair
+            prev_pair = pair
+            t += 2
+        out[j] = min(float(m * n), m * n / tau)
+    return out
+
+
+def _ar1_chains(phi, shape, seed):
+    """Stationary AR(1) draws with unit innovations along axis 1."""
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal(shape)
+    x = np.empty(shape)
+    x[:, 0] = eps[:, 0] / np.sqrt(1.0 - phi * phi)
+    for t in range(1, shape[1]):
+        x[:, t] = phi * x[:, t - 1] + eps[:, t]
+    return x
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.9])
+def test_ess_ar1_oracle(phi):
+    # the integrated autocorrelation time of AR(1) is (1 + phi) / (1 - phi)
+    x = _ar1_chains(phi, (4, 2000), seed=int(10 * phi))
+    expected = 8000 * (1 - phi) / (1 + phi)
+    assert 0.7 * expected <= ess(x)[0] <= 1.3 * expected
+
+
+def test_ess_edge_cases():
+    rng = np.random.default_rng(3)
+    x = np.stack([rng.standard_normal((3, 100)),
+                  np.full((3, 100), 2.0),
+                  _ar1_chains(-0.9, (3, 100), seed=4)], axis=2)
+    # a constant parameter, and an anticorrelated one past the cap
+    assert np.array_equal(ess(x)[1:], [300.0, 300.0])
+    with pytest.raises(TooFewDraws):
+        ess(np.ones((1, 100)))
+    with pytest.raises(TooFewDraws):
+        ess(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 501])
+@pytest.mark.parametrize("p", [1, 16, 17, 40])
+def test_ess_matches_reference_loop(n, p):
+    rng = np.random.default_rng(100 * n + p)
+    phi = rng.uniform(-0.5, 0.95, size=p)
+    x = np.stack([_ar1_chains(phi[j], (3, n), seed=j) for j in range(p)],
+                 axis=2) + rng.normal(0.0, 5.0, size=p)
+    if p > 1:
+        x[:, :, p // 2] = 1.5  # a zero-variance column
+    np.testing.assert_allclose(ess(x), _ess_reference(x), rtol=1e-12, atol=0)
+
+
+def test_ess_memory_bounded_at_long_series_shape():
+    x = np.random.default_rng(5).standard_normal((2, 500, 3509))
+    tracemalloc.start()
+    try:
+        ess(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
