@@ -207,7 +207,10 @@ def cmd_cv(cfg: RunConfig) -> int:
         where = f"cv.combinations[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be a mapping, got {entry!r}")
-        family = entry.get("family", "baseline")
+        family = typed(where, entry, "family", str, "baseline")
+        if family not in ("baseline", "svx"):
+            raise ConfigError(f"config key '{where}.family' must be "
+                              f"'baseline' or 'svx', got {family!r}")
         hour = typed(where, entry, "hour", int, cfg.hour)
         zone = typed(where, entry, "zone", int, cfg.zone)
         series, frame, _, _ = _load_series(cfg, hour, zone,
@@ -274,7 +277,11 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         "n_lags_used": adf.n_lags_used, "conclusion": adf.conclusion.value,
     }
 
-    max_lag = min(value("pacf_max_lag", int, 42), len(y) // 4 - 1)
+    max_lag = value("pacf_max_lag", int, 42)
+    if max_lag < 0:
+        raise ConfigError(f"config key 'diagnose.pacf_max_lag' must be "
+                          f"non-negative, got {max_lag}")
+    max_lag = min(max_lag, len(y) // 4 - 1)
     pacf_vals = pacf(y, max_lag)
     report["pacf"] = pacf_vals.tolist()
     write_csv(outdir / "pacf.csv", ["lag", "pacf"],

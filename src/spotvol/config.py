@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -57,6 +57,21 @@ def typed(where: str, mapping: dict, key: str, kind, default=_MISSING):
     except (TypeError, ValueError):
         raise ConfigError(f"config key '{where}.{key}': {value!r} is not a "
                           f"valid {kind.__name__}") from None
+
+
+def _coefficients(where: str, mapping, cls):
+    """`cls` built from the config mapping at `where`: every field a float,
+    an absent or null field its default, an unknown key a ``ConfigError``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"config key '{where}' must be a mapping, "
+                          f"got {mapping!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = [key for key in mapping if key not in defaults]
+    if unknown:
+        raise ConfigError(f"config key '{where}': unknown keys {unknown!r}; "
+                          f"expected some of {list(defaults)}")
+    return cls(**{name: typed(where, mapping, name, float, default)
+                  for name, default in defaults.items()})
 
 
 @dataclass
@@ -187,7 +202,6 @@ class RunConfig:
         section = self.section("synth")
         value = partial(typed, "synth", section)
         svx = section.get("svx")
-        temp = section.get("temp") or {}
         return SynthSpec(
             mu=value("mu", float),
             phi=value("phi", float),
@@ -200,8 +214,9 @@ class RunConfig:
             zone=value("zone", int, self.zone),
             hourly_amp_price=value("hourly_amp_price", float, 0.0),
             hourly_amp_temp=value("hourly_amp_temp", float, 0.0),
-            svx=SvxCoeffs(**svx) if svx else None,
-            temp=TempSpec(**temp),
+            svx=_coefficients("synth.svx", svx, SvxCoeffs) if svx else None,
+            temp=_coefficients("synth.temp", section.get("temp") or {},
+                               TempSpec),
         )
 
     # -- canonical form -----------------------------------------------------

@@ -1,10 +1,11 @@
 """Log-posterior and gradient kernel for the latent-volatility models.
 
 This is the hot path: one evaluation per leapfrog step, hundreds of
-thousands per fit. The kernel is vectorized numpy, with the AR(1) forward
-and adjoint recursions done by scipy ``lfilter``; it allocates as few
-temporaries as it can and sets no floating-point error state of its own
-(the sampler silences overflow once per chain).
+thousands per fit. The kernel is vectorized numpy; the AR(1) forward and
+adjoint recursions are each one BLAS unit-bidiagonal solve (``dtbsv``),
+done in place. It allocates as few temporaries as it can and sets no
+floating-point error state of its own (the sampler silences overflow once
+per chain).
 
 Parameter vector layout (unconstrained scale), with T latent days and a
 design matrix of k columns (k = 0 for the baseline model):
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 
 __all__ = [
     "sv_logp_grad",
@@ -39,14 +40,27 @@ __all__ = [
 ]
 
 EMPTY_DESIGN = np.zeros((0, 0))
-_ONE = np.ones(1)
+
+
+def _ar1(x, phi, lower):
+    """AR(1) recursion over x, in place: x_t += phi * x_{t-1} with
+    ``lower=0`` (forward), or x_t += phi * x_{t+1} with ``lower=1``
+    (backward, the adjoint of the forward pass).
+
+    Each is the transposed solve of a unit-diagonal bidiagonal system whose
+    off-diagonal is -phi, so one band array serves both directions. The
+    transposed solve forms each step as one product and one subtraction,
+    which rounds exactly as the sequential loop does.
+    """
+    band = np.full((2, x.shape[0]), -phi, order="F")
+    return dtbsv(1, band, x, lower=lower, trans=1, diag=1, overwrite_x=1)
 
 
 def _h_from_u(mu, phi, sigma, f, u):
     """AR(1) log-volatility path from standardized innovations u."""
     h = sigma * u
     h[0] = sigma * u[0] / f
-    h = lfilter(_ONE, [1.0, -phi], h)
+    h = _ar1(h, phi, 0)
     h += mu
     return h
 
@@ -81,7 +95,7 @@ def sv_logp_grad(theta, y, ybar, Z):
 
     g = half_q                      # d logp / d h_t, direct term
     g -= 0.5
-    abar = lfilter(_ONE, [1.0, -phi], g[::-1])[::-1]
+    abar = _ar1(g, phi, 1)
 
     grad = np.empty(theta.shape[0])
     grad_u = grad[off:]

@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.special import erf, erfc
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateData,
@@ -226,6 +225,27 @@ class MwuResult:
 EXACT_THRESHOLD_MAX = 12  # keeps the exact count's table small
 
 
+def _midranks(x):
+    """(midranks of x, size of each tie group in sorted order).
+
+    Tied values share the mean of their ordinal ranks, as scipy's
+    ``rankdata`` gives them. NaNs sort last and form one group, as in
+    ``np.unique``; any NaN makes every rank NaN, as ``rankdata`` does.
+    """
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    first = np.r_[True, s[1:] != s[:-1]]     # s[i] starts a tie group
+    has_nan = np.isnan(s[-1])
+    if has_nan:
+        first[np.searchsorted(s, np.nan) + 1:] = False
+    bounds = np.append(np.flatnonzero(first), len(s))
+    ranks = np.full(len(s), np.nan)
+    if not has_nan:
+        dense = np.cumsum(first)
+        ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    return ranks, np.diff(bounds)
+
+
 def mwu_test(a, b, exact_threshold: int = 12) -> MwuResult:
     """One-tailed Mann-Whitney U test of H1: `a` is shifted right of `b`.
 
@@ -244,12 +264,11 @@ def mwu_test(a, b, exact_threshold: int = 12) -> MwuResult:
         raise EmptySample("both samples must be nonempty")
 
     pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled)
+    ranks, counts = _midranks(pooled)
     u_obs = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
 
     n = n1 + n2
     null_mean = n1 * n2 / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(((counts ** 3 - counts).sum()) / (n * (n - 1))) if n > 1 else 0.0
     null_sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - tie_term))
 

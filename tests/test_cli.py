@@ -1,13 +1,26 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import spotvol
 from spotvol.cli import main
 from spotvol.posterior import PosteriorFit
+
+
+SYNTH = {
+    "mu": -1.0, "phi": 0.9, "sigma": 0.3, "n_days": 340,
+    "mean_price": 1000.0, "start_date": "2023-01-01",
+    "hourly_amp_price": 60.0, "hourly_amp_temp": 2.0,
+    "svx": {"alpha": 0.3, "beta1": 2.0, "beta2": 0.1,
+            "beta3": 0.01, "gamma": -5.0, "xi": 10.0},
+}
 
 
 def base_config(outdir: Path, n_days=340, model="svx") -> dict:
@@ -35,13 +48,7 @@ def base_config(outdir: Path, n_days=340, model="svx") -> dict:
             ],
         },
         "diagnose": {"pacf_max_lag": 20},
-        "synth": {
-            "mu": -1.0, "phi": 0.9, "sigma": 0.3, "n_days": n_days,
-            "mean_price": 1000.0, "start_date": "2023-01-01",
-            "hourly_amp_price": 60.0, "hourly_amp_temp": 2.0,
-            "svx": {"alpha": 0.3, "beta1": 2.0, "beta2": 0.1,
-                    "beta3": 0.01, "gamma": -5.0, "xi": 10.0},
-        },
+        "synth": {**SYNTH, "n_days": n_days},
     }
 
 
@@ -211,6 +218,10 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     ("cv", {"cv": {"combinations": [5]}}),
     ("synth", {"synth": 5}),
     ("synth", {"synth": {"mu": 1}}),
+    ("cv", {"cv": {"combinations": [{"family": "bogus"}]}}),
+    ("diagnose", {"diagnose": {"pacf_max_lag": -3}}),
+    ("synth", {"synth": {**SYNTH, "svx": 5}}),
+    ("synth", {"synth": {**SYNTH, "temp": {"bogus": 1}}}),
 ])
 def test_malformed_config_values_reported(workspace, tmp_path, capsys,
                                           command, override):
@@ -302,3 +313,16 @@ def test_from_manifest_command_mismatch(workspace, capsys):
     rc = main(["cv", "--from-manifest", str(out / "fit_manifest.json")])
     assert rc == 1
     assert "manifest" in capsys.readouterr().err
+
+
+def test_import_skips_scipy_signal_and_stats():
+    # each CLI command is one process, so the import is paid on every run
+    src = str(Path(spotvol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, spotvol, spotvol.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

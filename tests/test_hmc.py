@@ -91,8 +91,11 @@ def test_determinism(baseline_truth):
 
 # sha256 of fit.draws for the two fits in test_draws_pinned, recorded with
 # the thread-pooled sampler and the numba-free kernel it replaced (numpy
-# 2.4, scipy 1.17, x86-64). A change that moves one bit of a draw fails
-# here; a numpy build that rounds exp() differently does too.
+# 2.4, scipy 1.17, x86-64), and unchanged since the kernel's AR(1)
+# recursions moved from lfilter to BLAS dtbsv. A change that moves one bit
+# of a draw fails here; a numpy build that rounds exp() differently does
+# too, and so does a BLAS whose transposed band solve (tbsv) rounds its
+# product-then-subtract step differently.
 PINNED_DRAWS = {
     "baseline": "cf03db18a232ddc91c935082a92d10fd16288aa10108273f2d0ed254de483ea2",
     "svx": "f3dbd6e4746e811ad13571993a6fdf42b309ce5c7bfe8de6fab99b24d0ca5b27",

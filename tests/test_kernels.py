@@ -41,6 +41,25 @@ def naive_logp(theta, y, ybar, Z):
     return lp
 
 
+def sequential_ar1(x, phi, backward):
+    """x_t + phi * x_{t-1} (or x_{t+1} when `backward`), one Python float
+    step at a time."""
+    out = [float(v) for v in x]
+    steps = range(len(out) - 2, -1, -1) if backward else range(1, len(out))
+    for t in steps:
+        out[t] = out[t] + phi * out[t + 1 if backward else t - 1]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("T", [10, 360, 3500])
+@pytest.mark.parametrize("phi", [0.0, 0.3, -0.3, 0.999999, -0.999999])
+def test_ar1_matches_sequential_loop_bitwise(T, phi):
+    x = np.random.default_rng(T).standard_normal(T)
+    for lower in (0, 1):
+        got = kernels._ar1(x.copy(), phi, lower)
+        assert np.array_equal(got, sequential_ar1(x, phi, backward=lower))
+
+
 def impls():
     return [("numpy", kernels.sv_logp_grad)]
 

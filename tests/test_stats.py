@@ -21,7 +21,7 @@ from spotvol.errors import (
     RankDeficient,
     SeriesTooShort,
 )
-from spotvol.stats import MwuMethod, Stationarity
+from spotvol.stats import MwuMethod, Stationarity, _midranks
 
 
 # ---------------------------------------------------------------- ADF
@@ -128,6 +128,36 @@ def test_pacf_lag_too_large():
 
 
 # ---------------------------------------------------------------- MWU
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(4).standard_normal(50),              # untied
+    np.random.default_rng(5).integers(0, 6, 50).astype(float),  # tied
+    np.full(9, 2.5),                                           # all equal
+    np.array([3.0]),
+])
+def test_midranks_match_rankdata(x):
+    ranks, counts = _midranks(x)
+    assert np.array_equal(ranks, rankdata(x))
+    assert np.array_equal(counts, np.unique(x, return_counts=True)[1])
+
+
+def test_midranks_nan_propagates():
+    ranks, counts = _midranks(np.array([2.0, np.nan, 1.0, np.nan, 2.0]))
+    assert np.isnan(ranks).all()
+    assert counts.tolist() == [1, 2, 2]  # the NaNs form one group
+
+
+def test_mwu_nan_input():
+    # NaN makes every midrank NaN: the normal approximation returns NaN,
+    # and the exact count cannot size its table
+    a = np.r_[np.arange(20.0), np.nan]
+    res = mwu_test(a, np.arange(20.0) + 0.5)
+    assert np.isnan(res.u_statistic) and np.isnan(res.p_value)
+    assert res.method is MwuMethod.NORMAL_APPROX
+    assert res.null_sd == math.sqrt(21 * 20 / 12.0 * 42)
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        mwu_test([1.0, 2.0, np.nan], [3.0, 4.0, 5.0])
+
 
 def test_mwu_paper_null_parameters():
     rng = np.random.default_rng(0)
