@@ -13,6 +13,7 @@ preprocessing; this module only accepts the canonical layout.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,17 +28,24 @@ PRICE_SCHEMA = ("date", "hour", "price")
 WEATHER_SCHEMA = ("date", "hour", "temp_c")
 
 
-def _load_table(path, schema) -> HourlyTable:
-    path = Path(path)
+_RECORD = np.dtype([("date", "M8[D]"), ("hour", "i8"), ("value", "f8")])
+
+
+def _check_header(reader, schema) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "empty file, expected header") from None
+    if tuple(h.strip() for h in header) != schema:
+        raise ParseError(1, f"header {header!r} does not match {list(schema)}")
+
+
+def _parse_rows(path, schema) -> HourlyTable:
+    """Row-by-row reference parser: reports the first bad line of a file."""
     dates, hours, values = [], [], []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty file, expected header") from None
-        if tuple(h.strip() for h in header) != schema:
-            raise ParseError(1, f"header {header!r} does not match {list(schema)}")
+        _check_header(reader, schema)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -64,6 +72,31 @@ def _load_table(path, schema) -> HourlyTable:
             values.append(value)
     return HourlyTable(np.array(dates, dtype="datetime64[D]"),
                        np.array(hours), np.array(values))
+
+
+def _load_table(path, schema) -> HourlyTable:
+    """Parse the body in one ``np.loadtxt`` pass. Whatever that pass
+    rejects, or reads as a NaT date, an hour outside [0, 23] or a
+    non-finite value, is parsed again by `_parse_rows`, so that a bad file
+    raises the reference parser's error for its first bad line, and syntax
+    only Python's ``int``/``float`` accept (``1_000``, non-ASCII digits)
+    loads as before."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        _check_header(csv.reader(fh), schema)
+        try:
+            text = fh.read()
+            rec = (np.loadtxt(io.StringIO(text, newline=""), dtype=_RECORD,
+                              delimiter=",", comments=None, quotechar='"',
+                              ndmin=1)
+                   if text.strip("\r\n") else np.empty(0, _RECORD))
+        except ValueError:
+            return _parse_rows(path, schema)
+    dates, hours, values = (np.ascontiguousarray(rec[f]) for f in _RECORD.names)
+    if (np.isnat(dates).any() or ((hours < 0) | (hours > 23)).any()
+            or not np.isfinite(values).all()):
+        return _parse_rows(path, schema)
+    return HourlyTable(dates, hours, values)
 
 
 def load_prices(path) -> HourlyTable:
@@ -98,8 +131,9 @@ def export_hourly(table: HourlyTable, path, value_name: str) -> None:
     """
     order = np.lexsort((table.hours, table.dates.view("int64")))
     write_csv(path, ["date", "hour", value_name],
-              ([str(table.dates[i]), int(table.hours[i]),
-                repr(float(table.values[i]))] for i in order))
+              zip(table.dates[order].astype(str).tolist(),
+                  table.hours[order].tolist(),
+                  map(repr, table.values[order].tolist())))
 
 
 @dataclass(frozen=True)

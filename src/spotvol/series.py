@@ -13,6 +13,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import (
+    DuplicateRecord,
     EmptyTable,
     HourOutOfRange,
     InsufficientData,
@@ -69,12 +70,10 @@ class HourlyTable:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
         keys = self.dates.view("int64") * 24 + self.hours
-        if len(np.unique(keys)) != len(keys):
-            order = np.argsort(keys, kind="stable")
-            dup = np.nonzero(np.diff(keys[order]) == 0)[0][0]
-            i = order[dup + 1]
-            from .errors import DuplicateRecord
-
+        order = np.argsort(keys, kind="stable")
+        dup = np.flatnonzero(np.diff(keys[order]) == 0)
+        if len(dup):
+            i = order[dup[0] + 1]
             raise DuplicateRecord(self.dates[i], int(self.hours[i]))
 
     def __len__(self) -> int:

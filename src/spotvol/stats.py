@@ -273,6 +273,9 @@ def mwu_test(a, b, exact_threshold: int = 12) -> MwuResult:
     null_sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - tie_term))
 
     if min(n1, n2) <= exact_threshold:
+        if math.isnan(u_obs):  # a NaN made every midrank NaN
+            return MwuResult(u_obs, math.nan, MwuMethod.EXACT_PERMUTATION,
+                             null_mean, null_sd)
         # midranks are multiples of 1/2, so doubled ranks are integers;
         # ways[j, s] counts the j-subsets of the pool with doubled rank
         # sum s (exact in float64 below 2**53)

@@ -1,7 +1,14 @@
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spotvol import (
+    HourlyTable,
     SvxCoeffs,
     SynthSpec,
     export_hourly,
@@ -95,6 +102,209 @@ def test_round_trip_export(tmp_path):
         key2 = np.lexsort((back.hours, back.dates.view("int64")))
         assert np.array_equal(orig.values[key], back.values[key2])
         assert np.array_equal(orig.dates[key], back.dates[key2])
+
+
+def _reference_load(path, schema):
+    """The row-by-row loader as it stood before the columnar parse: the
+    oracle that load_prices must agree with on every input."""
+    dates, hours, values = [], [], []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(1, "empty file, expected header") from None
+        if tuple(h.strip() for h in header) != schema:
+            raise ParseError(1, f"header {header!r} does not match {list(schema)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
+            try:
+                date = np.datetime64(row[0].strip(), "D")
+            except ValueError:
+                raise ParseError(line_no, f"bad date {row[0]!r}") from None
+            try:
+                hour = int(row[1])
+            except ValueError:
+                raise ParseError(line_no, f"bad hour {row[1]!r}") from None
+            if not 0 <= hour <= 23:
+                raise ParseError(line_no, f"hour {hour} not in [0, 23]")
+            try:
+                value = float(row[2])
+            except ValueError:
+                raise ParseError(line_no, f"bad value {row[2]!r}") from None
+            if not math.isfinite(value):
+                raise NonFinite(f"line {line_no}: non-finite value {row[2]!r}")
+            dates.append(date)
+            hours.append(hour)
+            values.append(value)
+    return HourlyTable(np.array(dates, dtype="datetime64[D]"),
+                       np.array(hours), np.array(values))
+
+
+def _outcome(load, path):
+    """Arrays (dtype and bytes) of the loaded table, or the exception's type
+    and message; warnings count as exceptions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            t = load(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return tuple((a.dtype, a.tobytes()) for a in (t.dates, t.hours, t.values))
+
+
+def _digits(text, zero):
+    return "".join(chr(ord(zero) + int(c)) if "0" <= c <= "9" else c
+                   for c in text)
+
+
+DECORATIONS = [
+    lambda f: '"' + f.replace('"', '""') + '"',   # quoted
+    lambda f: '"' + f + '\n"',                    # quoted line break
+    lambda f: f" {f} ", lambda f: f"\t{f}\t", lambda f: f"{f} ",
+    lambda f: f"\xa0{f}", lambda f: "+" + f, lambda f: "0" + f,
+    lambda f: f + ".0", lambda f: f[:1] + "_" + f[1:],
+    lambda f: _digits(f, "\uff10"),               # fullwidth digits
+    lambda f: _digits(f, "\u0660"),               # Arabic-Indic digits
+]
+ODD_DATES = ["NaT", "", "2024-01", "2024-01-05T00", "2024", "2024-1-5",
+             "2024-02-30", "x", '"2,5"', "2024-01-05T13:45"]
+ODD_HOURS = ["24", "-1", "+6", "07", "7.0", "1_0", "", "x", '"2,5"', "-0",
+             "99999999999999999999"]
+ODD_VALUES = ["inf", "-inf", "nan", "NaN", "1e400", "1_000", "", "abc",
+              '"2,5"', "0x10", "1e-400", "5e-324", "-0.0", "1e22", "+6",
+              "07", "7.0", ".5", "5.", "1e5"]
+ODD_LINES = ["", " ", "\t", "   ", "# comment", "#2024-01-05,1,2", ",,", '""',
+             "2024-01-05,1", "2024-01-05,1,2,3", "2024-01-05,1,2,"]
+HEADERS = [" date , hour,\tprice", '"date","hour","price"', "date,hour",
+           "day,hour,price", ""]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def price_csv(draw):
+    """CSV text: well-formed records (consecutive keys, plain fields) with
+    odd fields, odd lines and decorated fields mixed in at a rate drawn per
+    file, from none (a file the columnar parse takes whole) to most."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    rate = draw(st.sampled_from([0, 40, 8, 2]))
+
+    def rarely():  # true once in `rate` draws; never when rate is 0
+        return rate > 0 and draw(st.integers(0, rate - 1)) == 0
+
+    lines = [draw(st.sampled_from(HEADERS)) if rarely() else "date,hour,price"]
+    for i in range(draw(st.integers(0, 30))):
+        if rarely():
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+        fields = [f"2024-01-{1 + i // 24:02d}", str(i % 24), f"{1000 + 7.25 * i!r}"]
+        for k, odd in enumerate((ODD_DATES, ODD_HOURS, ODD_VALUES)):
+            if rarely():
+                fields[k] = draw(st.sampled_from(odd))
+            if rarely():
+                fields[k] = draw(st.sampled_from(DECORATIONS))(fields[k])
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(ENDINGS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _assert_loads_as_row_parser(path, data):
+    path.write_bytes(data)
+    expected = _outcome(lambda p: _reference_load(p, ("date", "hour", "price")),
+                        path)
+    assert _outcome(load_prices, path) == expected
+
+
+@given(price_csv())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_prices_matches_row_parser(tmp_path, text):
+    _assert_loads_as_row_parser(tmp_path / "p.csv", text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("text", [
+    "date,hour,price\r\n2024-01-05,7,1\r\n2024-01-06,7,2\r\n",
+    "date,hour,price\r2024-01-05,7,1\r2024-01-06,7,2",
+    'date,hour,price\n"2024-01-05",7,"2.5"\n',
+    'date,hour,price\n2024-01-05,7,"2,5"\n',
+    "date,hour,price\n 2024-01-05 ,\t7\t, 2.5 \n",
+    "date,hour,price\n\n   \n2024-01-05,7,1\n",
+    "date,hour,price\n# comment\n2024-01-05,7,1\n",
+    "date,hour,price\n2024-01-05,7,1,\n",
+    "date,hour,price\n2024-01-05,1_0,1_000\n",
+    "date,hour,price\n2024-01-05,\uff17,\u0661\u0662\n",
+    "date,hour,price\n2024-01-05,+6,07\n2024-01-06,07,7.0\n",
+    "date,hour,price\n2024-01-05,7.0,1\n",
+    "date,hour,price\nNaT,7,1\n,8,1\n2024-01,9,1\n2024-01-05T00,10,1\n",
+    "date,hour,price\n2024-01-05,7,inf\n",
+    "date,hour,price\n2024-01-05,7,nan\n",
+    "date,hour,price\n2024-01-05,7,1e400\n",
+    "date,hour,price\n2024-01-05,24,1\n",
+    "date,hour,price\n2024-01-05,-1,1\n",
+    "date,hour,price\n2024-01-05,3,1\n2024-01-05,24,nan\n",
+    "",
+    # header only, or header and blank lines: an empty table, with no
+    # "input contained no data" warning from loadtxt
+    "date,hour,price",
+    "date,hour,price\n",
+    "date,hour,price\n\n\r\n\r",
+    # invalid UTF-8 past the first read buffer, after a bad line
+    pytest.param(b"date,hour,price\n2024-01-05,x,1\n"
+                 + b"2024-01-06,1,1\n" * 1000 + b"\xff\n",
+                 id="bad-utf8-after-bad-line"),
+    pytest.param(b"date,hour,price\n" + b"2024-01-06,1,1\n" * 1000 + b"\xff\n",
+                 id="bad-utf8"),
+])
+def test_load_prices_corpus_matches_row_parser(tmp_path, text):
+    _assert_loads_as_row_parser(
+        tmp_path / "p.csv",
+        text if isinstance(text, bytes) else text.encode("utf-8"))
+
+
+def _reference_export(table, path, value_name):
+    """The per-row writer as it stood before the column-wise export."""
+    order = np.lexsort((table.hours, table.dates.view("int64")))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "hour", value_name])
+        writer.writerows([str(table.dates[i]), int(table.hours[i]),
+                          repr(float(table.values[i]))] for i in order)
+
+
+def test_export_hourly_bytes_match_row_writer(tmp_path):
+    table = HourlyTable(
+        np.array(["2024-03-02", "2024-03-01", "2024-03-02", "2024-03-01",
+                  "2024-02-28"], dtype="datetime64[D]"),
+        np.array([0, 23, 5, 0, 12]),
+        np.array([-0.0, 5e-324, 0.1, 1e22, 1.0 / 3.0]))
+    export_hourly(table, tmp_path / "new.csv", "price")
+    _reference_export(table, tmp_path / "ref.csv", "price")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes().startswith(
+        b"date,hour,price\r\n2024-02-28,12,0.3333333333333333\r\n"
+        b"2024-03-01,0,1e+22\r\n2024-03-01,23,5e-324\r\n2024-03-02,0,-0.0\r\n")
+
+
+def test_duplicate_reports_first_in_key_order(tmp_path):
+    # two duplicated keys, neither pair adjacent; the one seen first in the
+    # file (2024-01-03 hour 5) sorts after the other (2024-01-01 hour 2)
+    p = write(tmp_path / "p.csv",
+              "date,hour,price\n"
+              "2024-01-03,5,1\n"
+              "2024-01-01,2,1\n"
+              "2024-01-02,0,1\n"
+              "2024-01-03,5,2\n"
+              "2024-01-04,1,1\n"
+              "2024-01-01,2,2\n")
+    with pytest.raises(DuplicateRecord) as info:
+        load_prices(p)
+    assert info.value.date == np.datetime64("2024-01-01")
+    assert info.value.hour == 2
+    assert str(info.value) == "duplicate record for (2024-01-01, hour 2)"
 
 
 def test_synthesize_noise_annihilated():

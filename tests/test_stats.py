@@ -148,15 +148,18 @@ def test_midranks_nan_propagates():
 
 
 def test_mwu_nan_input():
-    # NaN makes every midrank NaN: the normal approximation returns NaN,
-    # and the exact count cannot size its table
+    # NaN makes every midrank NaN: both branches return NaN u and p
     a = np.r_[np.arange(20.0), np.nan]
     res = mwu_test(a, np.arange(20.0) + 0.5)
     assert np.isnan(res.u_statistic) and np.isnan(res.p_value)
     assert res.method is MwuMethod.NORMAL_APPROX
     assert res.null_sd == math.sqrt(21 * 20 / 12.0 * 42)
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-        mwu_test([1.0, 2.0, np.nan], [3.0, 4.0, 5.0])
+    for x, y in (([1.0, 2.0, np.nan], [3.0, 4.0, 5.0]),
+                 ([1.0, 2.0, 3.0], [np.nan, np.nan])):
+        res = mwu_test(x, y)
+        assert np.isnan(res.u_statistic) and np.isnan(res.p_value)
+        assert res.method is MwuMethod.EXACT_PERMUTATION
+        assert res.null_mean == len(x) * len(y) / 2.0
 
 
 def test_mwu_paper_null_parameters():
