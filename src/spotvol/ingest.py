@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def _parse_rows(path, schema) -> HourlyTable:
 
 def _load_table(path, schema) -> HourlyTable:
     """Parse the body in one ``np.loadtxt`` pass. Whatever that pass
-    rejects, or reads as a NaT date, an hour outside [0, 23] or a
+    rejects or warns about, or reads as an hour outside [0, 23] or a
     non-finite value, is parsed again by `_parse_rows`, so that a bad file
     raises the reference parser's error for its first bad line, and syntax
     only Python's ``int``/``float`` accept (``1_000``, non-ASCII digits)
@@ -86,15 +87,19 @@ def _load_table(path, schema) -> HourlyTable:
         _check_header(csv.reader(fh), schema)
         try:
             text = fh.read()
-            rec = (np.loadtxt(io.StringIO(text, newline=""), dtype=_RECORD,
-                              delimiter=",", comments=None, quotechar='"',
-                              ndmin=1)
-                   if text.strip("\r\n") else np.empty(0, _RECORD))
-        except ValueError:
+            with warnings.catch_warnings():
+                # numpy warns where it reads more than the row parser
+                # accepts: an hour `7.0` or `1e1` (read through a float by
+                # numpy releases that only deprecate it), a timezone on a
+                # date, or a body without rows
+                warnings.simplefilter("error")
+                rec = np.loadtxt(io.StringIO(text, newline=""), dtype=_RECORD,
+                                 delimiter=",", comments=None, quotechar='"',
+                                 ndmin=1)
+        except (ValueError, Warning):
             return _parse_rows(path, schema)
     dates, hours, values = (np.ascontiguousarray(rec[f]) for f in _RECORD.names)
-    if (np.isnat(dates).any() or ((hours < 0) | (hours > 23)).any()
-            or not np.isfinite(values).all()):
+    if ((hours < 0) | (hours > 23)).any() or not np.isfinite(values).all():
         return _parse_rows(path, schema)
     return HourlyTable(dates, hours, values)
 
