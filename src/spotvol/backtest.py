@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientFutureData, LengthMismatch, SpotvolError
 from .hmc import SamplerConfig, sample
-from .models import BaselineSvModel, SvxModel
+from .models import build_model
 from .predictive import ForecastSet, PpdMode, VolMode, forecast
 from .series import ExogenousFrame, FoldPlan, PriceSeries
 from .stats import mwu_test
@@ -137,13 +137,10 @@ def _fit_forecast(combo: CvCombination, lo: int, hi: int, horizon: int,
     """Fit the combination's family on days lo..hi (inclusive) and forecast
     the `horizon` days after hi; svx takes their regressors from rows
     hi+1.. of the frame."""
-    train_y = combo.series.window(lo, hi + 1)
-    if combo.family == "svx":
-        model = SvxModel(train_y, combo.exog.window(lo, hi + 1))
-        exog_future = combo.exog.window(hi + 1, hi + 1 + horizon)
-    else:
-        model = BaselineSvModel(train_y)
-        exog_future = None
+    svx = combo.family == "svx"
+    model = build_model(combo.family, combo.series.window(lo, hi + 1),
+                        combo.exog.window(lo, hi + 1) if svx else None)
+    exog_future = combo.exog.window(hi + 1, hi + 1 + horizon) if svx else None
     fit = sample(model, cfg.sampler, fit_seed)
     return forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
                     vol_mode=cfg.vol_mode, exog_future=exog_future,

@@ -41,8 +41,7 @@ from .interpret import pd_ice, residual_report
 from .models import (
     COEF_NAMES,
     SCALAR_NAMES_BASE,
-    BaselineSvModel,
-    SvxModel,
+    build_model,
     raw_coefficients,
 )
 from .posterior import PosteriorFit
@@ -142,10 +141,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         series = series.window(0, train_days)
         if frame is not None:
             frame = frame.window(0, train_days)
-    if cfg.model == "svx":
-        model = SvxModel(series, frame)
-    else:
-        model = BaselineSvModel(series)
+    model = build_model(cfg.model, series, frame)
     log.info("fitting %s on %d days (hour %d, zone %d)",
              cfg.model, model.T, cfg.hour, cfg.zone)
     fit = sample(model, cfg.sampler_config(), cfg.seed)
@@ -302,10 +298,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         fit = PosteriorFit.load(fit_path)
         series, frame = _align_to_fit(fit, series, frame)
         y = series.values
-        if fit.model_family == "svx":
-            model = SvxModel(series, frame)
-        else:
-            model = BaselineSvModel(series)
+        model = build_model(fit.model_family, series, frame)
         ppd = ppd_insample(fit, model, n_draws=value("n_draws", int, 1000),
                            seed=cfg.seed)
         res = residual_report(y, ppd.mean)

@@ -45,6 +45,10 @@ class DuplicateRecord(SpotvolError):
         super().__init__(f"duplicate record for ({date}, hour {hour})")
 
 
+class MissingDate(SpotvolError):
+    pass
+
+
 class NonFinite(SpotvolError):
     pass
 

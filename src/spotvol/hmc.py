@@ -6,6 +6,11 @@ rate, and windowed diagonal mass-matrix estimation during warmup. Chains
 run one after another in the calling thread: the numpy kernel holds the
 GIL, so a thread pool only adds contention. Each chain owns an independent
 RNG substream and a fixed output slot.
+
+A chain's state is one mutable ``ChainState``: position, log density,
+gradient, inverse metric and RNG. ``init_chain`` builds it and
+``transition`` advances it in place, so warmup and sampling are two loops
+over ``transition``. The state never leaves this module.
 """
 
 from __future__ import annotations
@@ -59,12 +64,11 @@ class SamplerConfig:
 class _DualAveraging:
     """Nesterov-style step-size averaging toward a target acceptance."""
 
-    def __init__(self, eps0, target, gamma=0.05, t0=10.0, kappa=0.75):
+    GAMMA, T0, KAPPA = 0.05, 10.0, 0.75
+
+    def __init__(self, eps0, target):
         self.mu = math.log(10.0 * eps0)
         self.target = target
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.log_eps = math.log(eps0)
         self.log_eps_bar = 0.0
         self.h_bar = 0.0
@@ -72,19 +76,33 @@ class _DualAveraging:
 
     def update(self, accept_prob):
         self.m += 1
-        frac = 1.0 / (self.m + self.t0)
+        frac = 1.0 / (self.m + self.T0)
         self.h_bar = (1 - frac) * self.h_bar + frac * (self.target - accept_prob)
-        self.log_eps = self.mu - math.sqrt(self.m) / self.gamma * self.h_bar
-        eta = self.m ** (-self.kappa)
+        self.log_eps = self.mu - math.sqrt(self.m) / self.GAMMA * self.h_bar
+        eta = self.m ** (-self.KAPPA)
         self.log_eps_bar = eta * self.log_eps + (1 - eta) * self.log_eps_bar
 
-    @property
-    def eps(self):
-        return math.exp(self.log_eps)
 
-    @property
-    def eps_averaged(self):
-        return math.exp(self.log_eps_bar)
+@dataclass
+class ChainState:
+    """Where one chain stands: position, log density and gradient there,
+    diagonal inverse mass matrix and the chain's own RNG substream."""
+
+    theta: np.ndarray
+    lp: float
+    grad: np.ndarray
+    inv_mass: np.ndarray
+    rng: np.random.Generator
+
+
+def init_chain(model, seed_seq) -> ChainState:
+    """A chain at the model's initial position under a unit metric."""
+    rng = np.random.default_rng(seed_seq)
+    theta = model.initial_position(rng)
+    lp, grad = model.logp_grad(theta)
+    if not math.isfinite(lp):
+        raise NonFiniteLogp("log density not finite at the initial position")
+    return ChainState(theta, lp, grad, np.ones(model.dim), rng)
 
 
 def _leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
@@ -101,111 +119,87 @@ def _leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
     return theta, p, lp, grad
 
 
-def _find_initial_step(logp_grad, theta, lp, grad, inv_mass, rng):
+def _energy(lp, p, inv_mass):
+    return -lp + 0.5 * float(np.dot(p * p, inv_mass))
+
+
+def transition(model, state: ChainState, eps, n_steps):
+    """One HMC transition of n_steps jittered leapfrog steps; an accepted
+    proposal replaces the state's position. Returns (accept_prob,
+    divergent); a divergent transition draws no accept uniform."""
+    rng, inv_mass = state.rng, state.inv_mass
+    eps *= 1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0)
+    p0 = rng.standard_normal(len(state.theta)) / np.sqrt(inv_mass)
+    theta1, p1, lp1, grad1 = _leapfrog(
+        model.logp_grad, state.theta, p0, state.grad, eps, n_steps, inv_mass)
+    delta = _energy(lp1, p1, inv_mass) - _energy(state.lp, p0, inv_mass)
+    if not math.isfinite(delta) or delta > DIVERGENCE_ENERGY:
+        return 0.0, True
+    accept_prob = 1.0 if delta <= 0.0 else math.exp(-delta)
+    if rng.random() < accept_prob:
+        state.theta, state.lp, state.grad = theta1, lp1, grad1
+    return accept_prob, False
+
+
+def _find_initial_step(model, state: ChainState):
     """Double/halve a unit step until the one-step acceptance crosses 1/2."""
-    eps = 1.0
-    p = rng.standard_normal(theta.shape[0]) / np.sqrt(inv_mass)
-    h0 = -lp + 0.5 * float(np.sum(p * p * inv_mass))
-    _, p1, lp1, _ = _leapfrog(logp_grad, theta, p, grad, eps, 1, inv_mass)
-    h1 = -lp1 + 0.5 * float(np.sum(p1 * p1 * inv_mass))
-    delta = h0 - h1 if math.isfinite(h1) else -math.inf
-    direction = 1.0 if delta > math.log(0.5) else -1.0
-    for _ in range(64):
+    p = state.rng.standard_normal(len(state.theta)) / np.sqrt(state.inv_mass)
+    h0 = _energy(state.lp, p, state.inv_mass)
+    eps, direction = 1.0, 0.0
+    for _ in range(65):  # a unit-step probe, then up to 64 doublings/halvings
         eps *= 2.0 ** direction
-        _, p1, lp1, _ = _leapfrog(logp_grad, theta, p, grad, eps, 1, inv_mass)
-        h1 = -lp1 + 0.5 * float(np.sum(p1 * p1 * inv_mass))
+        _, p1, lp1, _ = _leapfrog(model.logp_grad, state.theta, p,
+                                  state.grad, eps, 1, state.inv_mass)
+        h1 = _energy(lp1, p1, state.inv_mass)
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
-        if direction * delta <= direction * math.log(0.5):
+        if not direction:
+            direction = 1.0 if delta > math.log(0.5) else -1.0
+        elif direction * delta <= direction * math.log(0.5):
             break
     return eps
 
 
 def _adaptation_schedule(warmup):
     """Iteration indices (1-based) at which the metric window closes."""
-    ends = []
-    start = INIT_BUFFER
-    size = BASE_WINDOW
-    while start + size <= warmup - TERM_BUFFER:
-        end = start + size
-        # absorb a remainder too small to double into this window
-        if end + 2 * size > warmup - TERM_BUFFER:
-            end = warmup - TERM_BUFFER
-        ends.append(end)
-        start = end
+    last = warmup - TERM_BUFFER
+    ends, size = [INIT_BUFFER], BASE_WINDOW
+    while ends[-1] + size <= last:
+        # a window absorbs a remainder too small to double into the next
+        ends.append(last if ends[-1] + 3 * size > last else ends[-1] + size)
         size *= 2
-    return ends
+    return ends[1:]
 
 
 def _run_chain(model, cfg: SamplerConfig, seed_seq):
-    rng = np.random.default_rng(seed_seq)
-    dim = model.dim
-
-    theta = model.initial_position(rng)
-    lp, grad = model.logp_grad(theta)
-    if not math.isfinite(lp):
-        raise NonFiniteLogp("log density not finite at the initial position")
-
-    inv_mass = np.ones(dim)
-    eps = _find_initial_step(model.logp_grad, theta, lp, grad, inv_mass, rng)
-    da = _DualAveraging(eps, cfg.target_accept)
-
-    window_ends = _adaptation_schedule(cfg.warmup)
-    window_draws = []
-
-    def one_step(theta, lp, grad, eps_now):
-        jitter = 1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0)
-        eps_j = eps_now * jitter
-        p0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
-        h0 = -lp + 0.5 * float(np.dot(p0 * p0, inv_mass))
-        theta1, p1, lp1, grad1 = _leapfrog(
-            model.logp_grad, theta, p0, grad, eps_j, cfg.leapfrog_steps,
-            inv_mass)
-        h1 = -lp1 + 0.5 * float(np.dot(p1 * p1, inv_mass))
-        delta = h1 - h0
-        divergent = (not math.isfinite(delta)) or delta > DIVERGENCE_ENERGY
-        if divergent:
-            accept_prob = 0.0
-        elif delta <= 0.0:
-            accept_prob = 1.0
-        else:
-            accept_prob = math.exp(-delta)
-        if not divergent and rng.random() < accept_prob:
-            return theta1, lp1, grad1, accept_prob, False
-        return theta, lp, grad, accept_prob, divergent
-
+    state = init_chain(model, seed_seq)
+    da = _DualAveraging(_find_initial_step(model, state), cfg.target_accept)
+    window_ends = _adaptation_schedule(cfg.warmup)  # non-empty: warmup >= 200
+    window = []
     for m in range(1, cfg.warmup + 1):
-        theta, lp, grad, aprob, _ = one_step(theta, lp, grad, da.eps)
+        aprob, _ = transition(model, state, math.exp(da.log_eps),
+                              cfg.leapfrog_steps)
         da.update(aprob)
-        if not window_ends:
-            continue  # terminal buffer: step size only
-        if m > INIT_BUFFER:
-            window_draws.append(theta.copy())
-        if m == window_ends[0]:
-            window_ends.pop(0)
-            n = len(window_draws)
-            var = np.asarray(window_draws).var(axis=0, ddof=1)
-            inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
-            window_draws = []
-            eps = _find_initial_step(
-                model.logp_grad, theta, lp, grad, inv_mass, rng)
-            da = _DualAveraging(eps, cfg.target_accept)
+        # the initial and terminal buffers adapt the step size only
+        if INIT_BUFFER < m <= window_ends[-1]:
+            window.append(state.theta)  # transition replaces, never mutates
+        if m in window_ends:
+            n = len(window)
+            var = np.asarray(window).var(axis=0, ddof=1)
+            state.inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
+            window = []
+            da = _DualAveraging(_find_initial_step(model, state),
+                                cfg.target_accept)
 
-    eps_final = da.eps_averaged
+    eps = math.exp(da.log_eps_bar)
     kept = np.empty((cfg.draws, len(model.param_names)))
-    divergences = 0
-    accept_sum = 0.0
+    divergences, accept_sum = 0, 0.0
     for i in range(cfg.draws):
-        theta, lp, grad, aprob, div = one_step(theta, lp, grad, eps_final)
-        divergences += int(div)
+        aprob, divergent = transition(model, state, eps, cfg.leapfrog_steps)
+        divergences += divergent
         accept_sum += aprob
-        kept[i] = model.transform(theta)
-
-    stats = {
-        "step_size": eps_final,
-        "mean_accept": accept_sum / cfg.draws,
-        "divergences": divergences,
-    }
-    return kept, stats
+        kept[i] = model.transform(state.theta)
+    return kept, {"step_size": eps, "mean_accept": accept_sum / cfg.draws,
+                  "divergences": divergences}
 
 
 def sample(model, cfg: SamplerConfig, seed: int) -> PosteriorFit:

@@ -142,6 +142,12 @@ class SvxModel(BaselineSvModel):
         return d
 
 
+def build_model(family: str, y: PriceSeries,
+                frame: ExogenousFrame | None = None) -> BaselineSvModel:
+    """The model of `family` on `y`; "svx" also takes the aligned frame."""
+    return SvxModel(y, frame) if family == "svx" else BaselineSvModel(y)
+
+
 def mean_values(ybar: float, design_std: np.ndarray | None,
                 coeffs: np.ndarray | None):
     """Observation mean per day under each row of coefficients.

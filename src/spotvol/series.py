@@ -18,6 +18,7 @@ from .errors import (
     HourOutOfRange,
     InsufficientData,
     MisalignedFrames,
+    MissingDate,
     MissingDay,
 )
 
@@ -69,6 +70,10 @@ class HourlyTable:
             raise HourOutOfRange("hours must lie in [0, 23]")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
+        nat = np.flatnonzero(np.isnat(self.dates))
+        if len(nat):
+            raise MissingDate(f"empty or NaT date in record {nat[0]} "
+                              f"(hour {self.hours[nat[0]]})")
         keys = self.dates.view("int64") * 24 + self.hours
         order = np.argsort(keys, kind="stable")
         dup = np.flatnonzero(np.diff(keys[order]) == 0)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from spotvol.errors import (
     NonFiniteLogp,
     TooFewDraws,
 )
-from spotvol.hmc import SamplerConfig
+from spotvol.hmc import SamplerConfig, init_chain, transition
 from tests.conftest import fast_sampler
 
 
@@ -102,6 +103,17 @@ PINNED_DRAWS = {
 }
 
 
+# the same for a fit that diverges: CliffTarget at 16 leapfrog steps gives
+# 57 divergent transitions in 1,000 draws (41 + 16), under the 10% bound.
+# A divergent transition skips the accept uniform, so this pins the RNG
+# order on the path test_draws_pinned never takes. "chains" is the sha256
+# of json.dumps(diagnostics["chains"], sort_keys=True).
+PINNED_DIVERGENT = {
+    "draws": "06a7d51fee5327554c1bceca76cb446c603edaebdc6e33028eb52f891d006542",
+    "chains": "428cb375625763a5164e8776a2ce3ad3e730b91380013d0f99fc928d7ba635cc",
+}
+
+
 def _draws_digest(fit):
     return hashlib.sha256(np.ascontiguousarray(fit.draws).tobytes()).hexdigest()
 
@@ -113,6 +125,33 @@ def test_draws_pinned(baseline_truth, svx_y, svx_frame):
         == PINNED_DRAWS["baseline"]
     assert _draws_digest(sample(svx, fast_sampler(), seed=5)) \
         == PINNED_DRAWS["svx"]
+
+
+def test_divergent_draws_pinned():
+    fit = sample(CliffTarget(), fast_sampler(leapfrog_steps=16), seed=11)
+    assert fit.diagnostics["divergences"] == 57
+    chains = json.dumps(fit.diagnostics["chains"], sort_keys=True)
+    assert _draws_digest(fit) == PINNED_DIVERGENT["draws"]
+    assert hashlib.sha256(chains.encode()).hexdigest() \
+        == PINNED_DIVERGENT["chains"]
+
+
+def test_transition_divergent_keeps_state():
+    model = GaussianTarget(np.eye(3))
+    seed_seq = np.random.SeedSequence(3)
+    state = init_chain(model, seed_seq)
+    theta, lp, grad = state.theta.copy(), state.lp, state.grad.copy()
+    assert transition(model, state, 1e6, 4) == (0.0, True)
+    assert np.array_equal(state.theta, theta)
+    assert state.lp == lp
+    assert np.array_equal(state.grad, grad)
+    # the initial position, then one jitter uniform and dim momentum
+    # normals; a divergent transition draws no accept uniform
+    ref = np.random.default_rng(seed_seq)
+    model.initial_position(ref)
+    ref.random()
+    ref.standard_normal(model.dim)
+    assert state.rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_max_workers_is_ignored(baseline_truth):

@@ -21,6 +21,7 @@ from spotvol import (
 from spotvol.errors import (
     DuplicateRecord,
     InvalidSpec,
+    MissingDate,
     MissingDay,
     NonFinite,
     ParseError,
@@ -342,6 +343,21 @@ def test_duplicate_reports_first_in_key_order(tmp_path):
     assert info.value.date == np.datetime64("2024-01-01")
     assert info.value.hour == 2
     assert str(info.value) == "duplicate record for (2024-01-01, hour 2)"
+
+
+@pytest.mark.parametrize("date", ["NaT", ""])
+def test_missing_date_rejected(tmp_path, date):
+    # both read as NaT; the table names the first such record rather than
+    # letting select_hour fail later with a ValueError
+    p = write(tmp_path / "p.csv",
+              "date,hour,price\n"
+              "2024-01-01,14,5\n"
+              f"{date},14,6\n"
+              "2024-01-02,14,7\n"
+              f"{date},3,8\n")
+    with pytest.raises(MissingDate,
+                       match=r"^empty or NaT date in record 1 \(hour 14\)$"):
+        load_prices(p)
 
 
 def test_synthesize_noise_annihilated():

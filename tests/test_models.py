@@ -11,6 +11,7 @@ from spotvol import (
     SvxModel,
     raw_coefficients,
 )
+from spotvol.models import build_model
 from spotvol.errors import (
     ConstantColumn,
     InsufficientData,
@@ -18,6 +19,14 @@ from spotvol.errors import (
     MissingStandardizer,
 )
 from tests.conftest import degenerate_fit
+
+
+def test_build_model_maps_family(svx_y, svx_frame):
+    y, frame = svx_y.window(0, 30), svx_frame.window(0, 30)
+    assert type(build_model("baseline", y)) is BaselineSvModel
+    svx = build_model("svx", y, frame)
+    assert type(svx) is SvxModel
+    assert np.array_equal(svx.design, SvxModel(y, frame).design)
 
 
 def test_baseline_smoke_constant_series():
