@@ -7,6 +7,12 @@ run one after another in the calling thread: the numpy kernel holds the
 GIL, so a thread pool only adds contention. Each chain owns an independent
 RNG substream and a fixed output slot.
 
+The model integrates: ``model.trajectory(theta, p, grad, eps, n_steps,
+inv_mass) -> (theta, p, lp, grad)`` runs n_steps leapfrog steps and
+computes the log density only at the end point, which is all that
+accept/reject uses. ``model.logp_grad`` is called once per chain, at its
+initial position.
+
 A chain's state is one mutable ``ChainState``: position, log density,
 gradient, inverse metric and RNG. ``init_chain`` builds it and
 ``transition`` advances it in place, so warmup and sampling are two loops
@@ -105,20 +111,6 @@ def init_chain(model, seed_seq) -> ChainState:
     return ChainState(theta, lp, grad, np.ones(model.dim), rng)
 
 
-def _leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
-    """n_steps leapfrog steps from (theta, p); the inputs are left intact."""
-    theta = theta.copy()
-    step = eps * inv_mass
-    p = p + 0.5 * eps * grad
-    for i in range(n_steps):
-        theta += step * p
-        lp, grad = logp_grad(theta)
-        if i < n_steps - 1:
-            p += eps * grad
-    p += 0.5 * eps * grad
-    return theta, p, lp, grad
-
-
 def _energy(lp, p, inv_mass):
     return -lp + 0.5 * float(np.dot(p * p, inv_mass))
 
@@ -130,8 +122,8 @@ def transition(model, state: ChainState, eps, n_steps):
     rng, inv_mass = state.rng, state.inv_mass
     eps *= 1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0)
     p0 = rng.standard_normal(len(state.theta)) / np.sqrt(inv_mass)
-    theta1, p1, lp1, grad1 = _leapfrog(
-        model.logp_grad, state.theta, p0, state.grad, eps, n_steps, inv_mass)
+    theta1, p1, lp1, grad1 = model.trajectory(
+        state.theta, p0, state.grad, eps, n_steps, inv_mass)
     delta = _energy(lp1, p1, inv_mass) - _energy(state.lp, p0, inv_mass)
     if not math.isfinite(delta) or delta > DIVERGENCE_ENERGY:
         return 0.0, True
@@ -148,8 +140,8 @@ def _find_initial_step(model, state: ChainState):
     eps, direction = 1.0, 0.0
     for _ in range(65):  # a unit-step probe, then up to 64 doublings/halvings
         eps *= 2.0 ** direction
-        _, p1, lp1, _ = _leapfrog(model.logp_grad, state.theta, p,
-                                  state.grad, eps, 1, state.inv_mass)
+        _, p1, lp1, _ = model.trajectory(state.theta, p, state.grad, eps, 1,
+                                         state.inv_mass)
         h1 = _energy(lp1, p1, state.inv_mass)
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
         if not direction:

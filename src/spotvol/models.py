@@ -4,6 +4,10 @@ The models own their training data by value and are never mutated after
 construction, so one model serves every chain of a fit. Gradients are
 analytic (see kernels); transforms map the unconstrained sampling scale to
 the constrained reporting scale.
+
+The sampler sees a model through ``initial_position``, ``logp_grad`` (once
+per chain, at its start), ``trajectory`` (every leapfrog trajectory, run
+by the kernel's integrator) and ``transform``.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ class BaselineSvModel:
         if self.T < 10:
             raise InsufficientData(f"need at least 10 observations, got {self.T}")
         self.ybar = float(self.y.mean())
+        self.r_sq = kernels.sq_resid(self.y, self.ybar)
         self.hour = y.hour
         zone = getattr(y, "zone", None)
         self.zone = int(zone) if zone is not None else None
@@ -80,6 +85,11 @@ class BaselineSvModel:
 
     def logp_grad(self, theta):
         return kernels.sv_logp_grad(theta, self.y, self.ybar, self.design)
+
+    def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
+        return kernels.sv_trajectory(theta, p, grad, eps, n_steps, inv_mass,
+                                     self.y, self.ybar, self.design,
+                                     self.r_sq)
 
     def initial_position(self, rng) -> np.ndarray:
         theta = np.zeros(self.dim)

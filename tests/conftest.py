@@ -35,6 +35,20 @@ def svx_y(svx_truth):
     return svx_truth.daily_prices.window(1, len(svx_truth.daily_prices))
 
 
+def leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
+    """Textbook out-of-place leapfrog over a one-point ``logp_grad``, in
+    the model ``trajectory`` signature: the reference the kernel's
+    integrator must match bit for bit, and the integrator of the generic
+    test targets."""
+    p = p + 0.5 * eps * grad
+    for i in range(n_steps):
+        theta = theta + eps * inv_mass * p
+        lp, grad = logp_grad(theta)
+        if i < n_steps - 1:
+            p = p + eps * grad
+    return theta, p + 0.5 * eps * grad, lp, grad
+
+
 def fast_sampler(**overrides) -> SamplerConfig:
     """Smallest config the sampler accepts; keeps unit tests quick."""
     kwargs = dict(n_chains=2, warmup=200, draws=500, leapfrog_steps=12,

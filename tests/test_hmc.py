@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from spotvol.errors import (
     TooFewDraws,
 )
 from spotvol.hmc import SamplerConfig, init_chain, transition
-from tests.conftest import fast_sampler
+from tests.conftest import fast_sampler, leapfrog
 
 
 class GaussianTarget:
@@ -28,6 +29,10 @@ class GaussianTarget:
     def logp_grad(self, theta):
         g = -self.P @ theta
         return float(0.5 * theta @ g), g
+
+    def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
+        return leapfrog(self.logp_grad, theta, p, grad, eps, n_steps,
+                        inv_mass)
 
     def initial_position(self, rng):
         return 0.1 * rng.standard_normal(self.dim)
@@ -152,6 +157,38 @@ def test_transition_divergent_keeps_state():
     ref.random()
     ref.standard_normal(model.dim)
     assert state.rng.bit_generator.state == ref.bit_generator.state
+
+
+class ForwardingProxy:
+    """Forwards every attribute to a model, with the exact ``trajectory``
+    signature of e2ebench's tracing proxy; counts kernel calls."""
+
+    def __init__(self, model):
+        self._model = model
+        self.logp_grad_callers = []
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def logp_grad(self, theta):
+        self.logp_grad_callers.append(sys._getframe(1).f_code.co_name)
+        return self._model.logp_grad(theta)
+
+    def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
+        self.steps += n_steps
+        return self._model.trajectory(theta, p, grad, eps, n_steps, inv_mass)
+
+
+def test_sampler_calls_model_through_trajectory(baseline_truth):
+    model = BaselineSvModel(baseline_truth.daily_prices.window(0, 60))
+    cfg = fast_sampler()
+    proxy = ForwardingProxy(model)
+    assert np.array_equal(sample(proxy, cfg, seed=5).draws,
+                          sample(model, cfg, seed=5).draws)
+    assert proxy.logp_grad_callers == ["init_chain"] * cfg.n_chains
+    assert proxy.steps >= (cfg.n_chains * (cfg.warmup + cfg.draws)
+                           * cfg.leapfrog_steps)
 
 
 def test_max_workers_is_ignored(baseline_truth):

@@ -1,14 +1,15 @@
 """Kernel-level checks: analytic gradients against finite differences and
 the density against a naive per-term reference implementation written
-here; the sampler's leapfrog against an explicit stepwise one."""
+here; the kernel's leapfrog integrator, through the models, against the
+textbook one in conftest."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spotvol import kernels
-from spotvol.hmc import _leapfrog
+from spotvol import BaselineSvModel, SvxModel, kernels
+from tests.conftest import leapfrog
 
 
 def naive_logp(theta, y, ybar, Z):
@@ -56,12 +57,9 @@ def sequential_ar1(x, phi, backward):
 def test_ar1_matches_sequential_loop_bitwise(T, phi):
     x = np.random.default_rng(T).standard_normal(T)
     for lower in (0, 1):
-        got = kernels._ar1(x.copy(), phi, lower)
+        band = np.full((2, T), -phi, order="F")
+        got = kernels._ar1(x.copy(), band, lower)
         assert np.array_equal(got, sequential_ar1(x, phi, backward=lower))
-
-
-def impls():
-    return [("numpy", kernels.sv_logp_grad)]
 
 
 @pytest.fixture(scope="module")
@@ -73,50 +71,47 @@ def problem():
     return y, float(y.mean()), Z
 
 
-@pytest.mark.parametrize("name,impl", impls())
 @pytest.mark.parametrize("with_design", [False, True])
-def test_gradient_matches_finite_differences(problem, name, impl, with_design):
+def test_gradient_matches_finite_differences(problem, with_design):
     y, ybar, Z = problem
     Zk = Z if with_design else np.zeros((len(y), 0))
     dim = 3 + (Zk.shape[1] + 1 if Zk.shape[1] else 0) + len(y)
     rng = np.random.default_rng(77)
     for _ in range(4):
         theta = 0.4 * rng.standard_normal(dim)
-        _, grad = impl(theta, y, ybar, Zk)
+        _, grad = kernels.sv_logp_grad(theta, y, ybar, Zk)
         fd = np.empty(dim)
         for i in range(dim):
             step = 1e-6 * max(1.0, abs(theta[i]))
             tp, tm = theta.copy(), theta.copy()
             tp[i] += step
             tm[i] -= step
-            fd[i] = (impl(tp, y, ybar, Zk)[0] - impl(tm, y, ybar, Zk)[0]) / (2 * step)
+            fd[i] = (kernels.sv_logp_grad(tp, y, ybar, Zk)[0] - kernels.sv_logp_grad(tm, y, ybar, Zk)[0]) / (2 * step)
         rel = np.abs(grad - fd) / np.maximum(1e-6, np.maximum(np.abs(grad),
                                                               np.abs(fd)))
         assert rel.max() < 1e-4
 
 
-@pytest.mark.parametrize("name,impl", impls())
-def test_matches_naive_reference(problem, name, impl):
+def test_matches_naive_reference(problem):
     y, ybar, Z = problem
     rng = np.random.default_rng(3)
     for Zk in (np.zeros((len(y), 0)), Z):
         dim = 3 + (Zk.shape[1] + 1 if Zk.shape[1] else 0) + len(y)
         for _ in range(3):
             theta = 0.5 * rng.standard_normal(dim)
-            lp, _ = impl(theta, y, ybar, Zk)
+            lp, _ = kernels.sv_logp_grad(theta, y, ybar, Zk)
             ref = naive_logp(theta, y, ybar, Zk)
             assert abs(lp - ref) < 1e-9 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("name,impl", impls())
-def test_zero_coefficients_reduce_to_baseline_bitwise(problem, name, impl):
+def test_zero_coefficients_reduce_to_baseline_bitwise(problem):
     y, ybar, Z = problem
     rng = np.random.default_rng(12)
     for _ in range(5):
         theta_b = 0.5 * rng.standard_normal(3 + len(y))
         theta_x = np.concatenate([theta_b[:3], np.zeros(6), theta_b[3:]])
-        lp_b, _ = impl(theta_b, y, ybar, np.zeros((len(y), 0)))
-        lp_x, _ = impl(theta_x, y, ybar, Z)
+        lp_b, _ = kernels.sv_logp_grad(theta_b, y, ybar, np.zeros((len(y), 0)))
+        lp_x, _ = kernels.sv_logp_grad(theta_x, y, ybar, Z)
         assert lp_x == lp_b
 
 
@@ -124,40 +119,99 @@ def test_saturated_transform_rejected(problem):
     y, ybar, Z = problem
     theta = np.zeros(3 + len(y))
     theta[1] = 50.0  # tanh saturates to exactly 1.0
-    for _, impl in impls():
-        lp, grad = impl(theta, y, ybar, np.zeros((len(y), 0)))
-        assert lp == -np.inf
-        assert np.all(np.isfinite(grad))
+    lp, grad = kernels.sv_logp_grad(theta, y, ybar, np.zeros((len(y), 0)))
+    assert lp == -np.inf
+    assert np.all(np.isfinite(grad))
 
 
-def test_trajectory_matches_stepwise(problem):
-    """hmc._leapfrog updates in place; it must reproduce the textbook
-    out-of-place integrator bit for bit and leave its inputs untouched."""
-    y, ybar, Z = problem
+@pytest.fixture(scope="module")
+def models(baseline_truth, svx_y, svx_frame):
+    return {"baseline": BaselineSvModel(baseline_truth.daily_prices.window(0, 60)),
+            "svx": SvxModel(svx_y.window(0, 60), svx_frame.window(0, 60))}
+
+
+def _reference(model, theta, p, eps, n_steps, inv_mass):
+    """The textbook integrator over the model's one-point kernel, with the
+    log density of every step."""
+    lps = []
+
+    def logp_grad(t):
+        lp, grad = model.logp_grad(t)
+        lps.append(lp)
+        return lp, grad
+
+    _, grad = model.logp_grad(theta)
+    return leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass), lps
+
+
+def _assert_trajectory_matches(model, theta, p, eps, n_steps, inv_mass):
+    """model.trajectory equals the reference bit for bit, leaves its
+    inputs intact and returns no array that aliases one; returns the
+    reference's per-step log densities and the trajectory's output."""
+    (th, pp, lp, g), lps = _reference(model, theta, p, eps, n_steps, inv_mass)
+    grad = model.logp_grad(theta)[1]
+    inputs = (theta, p, grad, inv_mass)
+    before = [a.copy() for a in inputs]
+    out = model.trajectory(theta, p, grad, eps, n_steps, inv_mass)
+    for got, want in zip(out[:2] + out[3:], (th, pp, g)):
+        assert got.tobytes() == want.tobytes()
+    assert out[2] == lp
+    for arr, orig in zip(inputs, before):
+        assert arr.tobytes() == orig.tobytes()
+    for got in out[:2] + out[3:]:
+        assert not any(np.shares_memory(got, a) for a in inputs)
+    return lps, out
+
+
+def _start(model, rng):
+    """A random point with mu at the log variance of the data."""
+    theta = 0.2 * rng.standard_normal(model.dim)
+    theta[0] = math.log(model.y.var())
+    return theta
+
+
+@pytest.mark.parametrize("family", ["baseline", "svx"])
+@pytest.mark.parametrize("n_steps", [1, 2, 32])
+def test_model_trajectory_matches_reference(models, family, n_steps):
+    model = models[family]
     rng = np.random.default_rng(21)
-    dim = 3 + 6 + len(y)
-    theta = 0.2 * rng.standard_normal(dim)
-    p = rng.standard_normal(dim)
-    inv_mass = np.exp(0.1 * rng.standard_normal(dim))
-    eps, n_steps = 0.01, 10
-    _, grad = kernels.sv_logp_grad(theta, y, ybar, Z)
-    before = theta.copy(), p.copy(), grad.copy()
+    theta = _start(model, rng)
+    p = rng.standard_normal(model.dim)
+    inv_mass = np.exp(0.1 * rng.standard_normal(model.dim))
+    lps, _ = _assert_trajectory_matches(model, theta, p, 0.01, n_steps,
+                                        inv_mass)
+    assert all(math.isfinite(lp) for lp in lps)
 
-    # reference: explicit leapfrog using only the logp/grad kernel
-    th, pp, g = theta.copy(), p + 0.5 * eps * grad, grad
-    for s in range(n_steps):
-        th = th + eps * inv_mass * pp
-        lp_ref, g = kernels.sv_logp_grad(th, y, ybar, Z)
-        if s < n_steps - 1:
-            pp = pp + eps * g
-    pp = pp + 0.5 * eps * g
 
-    th2, pp2, lp2, g2 = _leapfrog(
-        lambda t: kernels.sv_logp_grad(t, y, ybar, Z), theta, p, grad, eps,
-        n_steps, inv_mass)
-    assert np.array_equal(th2, th)
-    assert np.array_equal(pp2, pp)
-    assert np.array_equal(g2, g)
-    assert lp2 == lp_ref
-    for arr, orig in zip((theta, p, grad), before):
-        assert np.array_equal(arr, orig)
+def _phi_push(model, phi_raw, p_phi):
+    """A point at phi = tanh(phi_raw) with momentum p_phi on phi_raw only."""
+    theta = _start(model, np.random.default_rng(21))
+    theta[1] = phi_raw
+    p = np.zeros(model.dim)
+    p[1] = p_phi
+    return theta, p
+
+
+@pytest.mark.parametrize("family", ["baseline", "svx"])
+def test_trajectory_crosses_saturated_phi(models, family):
+    # from a saturated start, an interior step is still saturated (zero
+    # gradient) and the end point is not
+    model = models[family]
+    theta, p = _phi_push(model, 19.6, -4.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lps, _ = _assert_trajectory_matches(model, theta, p, 0.1, 2,
+                                            np.ones(model.dim))
+    assert lps[0] == -np.inf
+    assert math.isfinite(lps[1])
+
+
+@pytest.mark.parametrize("family", ["baseline", "svx"])
+def test_trajectory_ends_on_saturated_phi(models, family):
+    model = models[family]
+    theta, p = _phi_push(model, 0.5, 100.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lps, (_, _, lp, grad) = _assert_trajectory_matches(
+            model, theta, p, 0.1, 2, np.ones(model.dim))
+    assert math.isfinite(lps[0])
+    assert lp == -np.inf
+    assert np.all(np.isfinite(grad))
