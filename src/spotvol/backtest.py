@@ -18,28 +18,28 @@ import numpy as np
 
 from .errors import InsufficientFutureData, LengthMismatch, SpotvolError
 from .hmc import SamplerConfig, sample
-from .models import build_model
+from .models import BaselineSvModel, build_model
 from .predictive import ForecastSet, PpdMode, VolMode, forecast
 from .series import ExogenousFrame, FoldPlan, PriceSeries
 from .stats import mwu_test
 
 
-def mae(actual, predicted) -> float:
-    """Mean absolute error."""
+def _errors(actual, predicted) -> np.ndarray:
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape or actual.ndim != 1 or len(actual) == 0:
         raise LengthMismatch("need equal-length nonempty vectors")
-    return float(np.mean(np.abs(actual - predicted)))
+    return actual - predicted
+
+
+def mae(actual, predicted) -> float:
+    """Mean absolute error."""
+    return float(np.mean(np.abs(_errors(actual, predicted))))
 
 
 def rmse(actual, predicted) -> float:
     """Root mean squared error."""
-    actual = np.asarray(actual, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    if actual.shape != predicted.shape or actual.ndim != 1 or len(actual) == 0:
-        raise LengthMismatch("need equal-length nonempty vectors")
-    return float(math.sqrt(np.mean((actual - predicted) ** 2)))
+    return float(math.sqrt(np.mean(_errors(actual, predicted) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class CvCombination:
-    """One model-family x hour x zone cell of the cross-validation grid."""
+    """One model-family x hour x zone cell of prices and their lag frame."""
 
     family: str                       # "baseline" | "svx"
     hour: int
@@ -79,6 +79,18 @@ class CvCombination:
     @property
     def model_id(self) -> str:
         return f"{self.family}-h{self.hour}-z{self.zone}"
+
+    def model(self, lo: int, hi: int) -> BaselineSvModel:
+        """The family's model on days lo..hi (inclusive)."""
+        exog = self.exog.window(lo, hi + 1) if self.family == "svx" else None
+        return build_model(self.family, self.series.window(lo, hi + 1), exog)
+
+    def future_exog(self, hi: int, horizon: int) -> ExogenousFrame | None:
+        """Regressor rows of the `horizon` days after day hi; None for the
+        baseline family."""
+        if self.family == "svx":
+            return self.exog.window(hi + 1, hi + 1 + horizon)
+        return None
 
 
 @dataclass
@@ -135,16 +147,11 @@ def _fit_forecast(combo: CvCombination, lo: int, hi: int, horizon: int,
                   cfg: BacktestConfig, fit_seed: int,
                   fc_seed: int) -> ForecastSet:
     """Fit the combination's family on days lo..hi (inclusive) and forecast
-    the `horizon` days after hi; svx takes their regressors from rows
-    hi+1.. of the frame."""
-    svx = combo.family == "svx"
-    model = build_model(combo.family, combo.series.window(lo, hi + 1),
-                        combo.exog.window(lo, hi + 1) if svx else None)
-    exog_future = combo.exog.window(hi + 1, hi + 1 + horizon) if svx else None
-    fit = sample(model, cfg.sampler, fit_seed)
+    the `horizon` days after hi."""
+    fit = sample(combo.model(lo, hi), cfg.sampler, fit_seed)
     return forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
-                    vol_mode=cfg.vol_mode, exog_future=exog_future,
-                    seed=fc_seed)
+                    vol_mode=cfg.vol_mode,
+                    exog_future=combo.future_exog(hi, horizon), seed=fc_seed)
 
 
 def _report(combo: CvCombination, start: int, mean,
@@ -181,32 +188,28 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
                 raise SpotvolError(
                     f"test window starts on day {c}, not the day after the "
                     f"train window ends ({b})")
-            fc = _fit_forecast(combo, a, b, d - c + 1, cfg, fit_seed, fc_seed)
-            rep = _report(combo, c, fc.mean, fi)
-            del fc  # keep this fold's draws out of the next fold's peak memory
+            # only the means outlive the call, so no fold's draws reach
+            # the next fold's peak memory
+            mean = _fit_forecast(combo, a, b, d - c + 1, cfg, fit_seed,
+                                 fc_seed).mean
+            rep = _report(combo, c, mean, fi)
         except _FOLD_ERRORS as exc:
             failures[combo.model_id].append(
                 (fi, f"{type(exc).__name__}: {exc}"))
         else:
             reports[combo.model_id].append(rep)
 
-    aggregates = {}
-    for mid, reps in reports.items():
-        if reps:
-            aggregates[mid] = {
-                "mae": float(np.mean([r.mae for r in reps])),
-                "rmse": float(np.mean([r.rmse for r in reps])),
-                "n_folds": len(reps),
-            }
-        else:
-            aggregates[mid] = {"mae": None, "rmse": None, "n_folds": 0}
+    aggregates = {
+        mid: {"mae": float(np.mean([r.mae for r in reps])) if reps else None,
+              "rmse": float(np.mean([r.rmse for r in reps])) if reps else None,
+              "n_folds": len(reps)}
+        for mid, reps in reports.items()}
 
-    mwu = {}
-    for metric in ("mae", "rmse"):
-        base_pool = [getattr(r, metric) for c in combos if c.family == "baseline"
-                     for r in reports[c.model_id]]
-        svx_pool = [getattr(r, metric) for c in combos if c.family == "svx"
-                    for r in reports[c.model_id]]
+    mwu = dict.fromkeys(("mae", "rmse"))
+    for metric in mwu:
+        base_pool, svx_pool = (
+            [getattr(r, metric) for c in combos if c.family == family
+             for r in reports[c.model_id]] for family in ("baseline", "svx"))
         if base_pool and svx_pool:
             res = mwu_test(base_pool, svx_pool)
             mwu[metric] = {
@@ -218,8 +221,6 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
                 "baseline_mean": float(np.mean(base_pool)),
                 "svx_mean": float(np.mean(svx_pool)),
             }
-        else:
-            mwu[metric] = None
 
     return CvSummary(reports=reports, failures=failures,
                      aggregates=aggregates, mwu=mwu, n_folds=len(plan))
@@ -243,15 +244,13 @@ def rolling_forecast(combo: CvCombination, first_train: tuple,
     its end.
     """
     dates = combo.series.dates
-    start = np.datetime64(first_train[0], "D")
-    end = np.datetime64(first_train[1], "D")
-    a = int(np.searchsorted(dates, start))
-    b = int(np.searchsorted(dates, end))
-    if a >= len(dates) or dates[a] != start or b >= len(dates) or dates[b] != end:
+    span = combo.series.locate(*first_train)
+    if span is None:
         raise SpotvolError("first_train range not covered by the series")
+    a, b = span
     if b + horizon_days >= len(dates):
         raise InsufficientFutureData(
-            f"series ends {dates[-1]}, need {horizon_days} days past {end}")
+            f"series ends {dates[-1]}, need {horizon_days} days past {dates[b]}")
 
     day_forecasts = [_fit_forecast(combo, a + j, b + j, 1, cfg, *seeds)
                      for j, seeds in enumerate(_seed_pairs(seed, horizon_days))]

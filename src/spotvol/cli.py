@@ -38,12 +38,7 @@ from .ingest import (
     write_json,
 )
 from .interpret import pd_ice, residual_report
-from .models import (
-    COEF_NAMES,
-    SCALAR_NAMES_BASE,
-    build_model,
-    raw_coefficients,
-)
+from .models import COEF_NAMES, SCALAR_NAMES_BASE, raw_coefficients
 from .posterior import PosteriorFit
 from .predictive import (
     PpdMode,
@@ -74,40 +69,24 @@ def _write_manifest(cfg: RunConfig, command: str, outdir: Path,
     write_json(outdir / f"{command}_manifest.json", manifest)
 
 
-def _load_series(cfg: RunConfig, hour: int, zone: int, need_weather: bool):
-    """Price series at (hour, zone), plus the aligned exogenous frame and
-    same-day temperature series when weather data is configured, and the
-    parsed hourly price table. The first day is dropped whenever a frame is
-    built (no lag available there)."""
+def _load(cfg: RunConfig, family: str, hour: int, zone: int,
+          weather: bool = False, frames: bool = False):
+    """The (family, hour, zone) combination of the configured data, the
+    same-day temperatures aligned with its series and the hourly price
+    table. svx reads the weather data and builds a lag frame, which starts
+    on day 1 like the series beside it; the baseline reads them only under
+    `weather` (else temperatures are None) and builds a frame under `frames`.
+    """
     prices = load_prices(cfg.data_path("prices", zone))
     series = select_hour(prices, hour, Zone(zone))
-    frame = temps_aligned = None
-    if need_weather:
-        weather = load_weather(cfg.data_path("weather", zone))
-        temps = select_hour(weather, hour)
+    frames = frames or family == "svx"
+    frame = temps = None
+    if weather or frames:
+        temps = select_hour(load_weather(cfg.data_path("weather", zone)), hour)
+    if frames:
         frame = ExogenousFrame.from_daily(series, temps)
-        series = series.window(1, len(series))
-        temps_aligned = temps.window(1, len(temps))
-    return series, frame, temps_aligned, prices
-
-
-def _align_to_fit(fit: PosteriorFit, series, frame):
-    """Slice the loaded data down to the window the fit was trained on."""
-    ts = fit.train_summary
-    first = np.datetime64(ts.get("first_date"), "D")
-    last = np.datetime64(ts.get("last_date"), "D")
-    lo = int(np.searchsorted(series.dates, first))
-    hi = int(np.searchsorted(series.dates, last))
-    if (lo >= len(series) or series.dates[lo] != first
-            or hi >= len(series) or series.dates[hi] != last):
-        raise IncompatibleFit(
-            "fit was trained on a window the config data does not cover")
-    out_series = series.window(lo, hi + 1)
-    out_frame = frame.window(lo, hi + 1) if frame is not None else None
-    if ts.get("n_obs") != len(out_series):
-        raise IncompatibleFit(
-            "fit was trained on a different window than the config data")
-    return out_series, out_frame
+        series, temps = series.window(1, len(series)), temps.window(1, len(temps))
+    return CvCombination(family, hour, zone, series, frame), temps, prices
 
 
 def _fit_stdout_summary(fit: PosteriorFit) -> str:
@@ -134,14 +113,13 @@ def _fit_stdout_summary(fit: PosteriorFit) -> str:
 def cmd_fit(cfg: RunConfig) -> int:
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    series, frame, _, _ = _load_series(cfg, cfg.hour, cfg.zone,
-                                       need_weather=cfg.model == "svx")
-    train_days = typed("fit", cfg.section("fit"), "train_days", int, None)
-    if train_days:
-        series = series.window(0, train_days)
-        if frame is not None:
-            frame = frame.window(0, train_days)
-    model = build_model(cfg.model, series, frame)
+    combo, _, _ = _load(cfg, cfg.model, cfg.hour, cfg.zone)
+    n_days = len(combo.series)
+    train_days = typed("fit", cfg.section("fit"), "train_days", int, n_days)
+    if not 1 <= train_days <= n_days:
+        raise ConfigError(f"config key 'fit.train_days' must lie in "
+                          f"[1, {n_days}], got {train_days}")
+    model = combo.model(0, train_days - 1)
     log.info("fitting %s on %d days (hour %d, zone %d)",
              cfg.model, model.T, cfg.hour, cfg.zone)
     fit = sample(model, cfg.sampler_config(), cfg.seed)
@@ -163,16 +141,13 @@ def cmd_forecast(cfg: RunConfig, fit_path) -> int:
 
     exog_future = None
     if fit.model_family == "svx":
-        _, frame, _, _ = _load_series(cfg, cfg.hour, cfg.zone,
-                                      need_weather=True)
-        last = np.datetime64(fit.train_summary["last_date"], "D")
-        start = int(np.searchsorted(frame.dates, last)) + 1
-        if start > len(frame) or frame.dates[start - 1] != last \
-                or start + horizon > len(frame):
+        combo, _, _ = _load(cfg, "svx", cfg.hour, cfg.zone)
+        last = fit.train_summary["last_date"]
+        span = combo.series.locate(last, last)
+        if span is None or span[1] + horizon >= len(combo.series):
             raise InsufficientFutureData(
-                "data files do not cover the forecast horizon after "
-                f"{fit.train_summary['last_date']}")
-        exog_future = frame.window(start, start + horizon)
+                f"data files do not cover the forecast horizon after {last}")
+        exog_future = combo.future_exog(span[1], horizon)
 
     fc = forecast(fit, horizon, n_draws=settings["n_draws"],
                   mode=settings["mode"], vol_mode=settings["vol_mode"],
@@ -209,10 +184,8 @@ def cmd_cv(cfg: RunConfig) -> int:
                               f"'baseline' or 'svx', got {family!r}")
         hour = typed(where, entry, "hour", int, cfg.hour)
         zone = typed(where, entry, "zone", int, cfg.zone)
-        series, frame, _, _ = _load_series(cfg, hour, zone,
-                                           need_weather=has_weather)
-        combos.append(CvCombination(family=family, hour=hour, zone=zone,
-                                    series=series, exog=frame))
+        # frames for both families, so that both forecast the same days
+        combos.append(_load(cfg, family, hour, zone, frames=has_weather)[0])
 
     total = value("total_days", int, None) or min(len(c.series) for c in combos)
     plan = build_folds(total, value("train_days", int, 360),
@@ -255,11 +228,22 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     section = cfg.section("diagnose")
     value = partial(typed, "diagnose", section)
     fit_path = fit_path or section.get("fit")
-    has_weather = bool(cfg.get("data", "weather"))
+    n_draws = value("n_draws", int, 1000)
+    if n_draws < 100:
+        raise ConfigError(f"config key 'diagnose.n_draws' must be at least "
+                          f"100, got {n_draws}")
+    fit = PosteriorFit.load(fit_path) if fit_path else None
+    family = fit.model_family if fit else "baseline"
+    if family not in ("baseline", "svx"):
+        raise IncompatibleFit(f"fit has unknown model family {family!r}")
 
-    series, frame, temps, prices = _load_series(
-        cfg, cfg.hour, cfg.zone, need_weather=has_weather)
-    y = series.values
+    # with a fit, its family decides the days; without one, the weather
+    # statistics pair the days a lag frame covers, as cv does
+    has_weather = bool(cfg.get("data", "weather"))
+    combo, temps, prices = _load(cfg, family, cfg.hour, cfg.zone,
+                                 weather=has_weather,
+                                 frames=has_weather and fit is None)
+    y = combo.series.values
     report: dict = {}
 
     try:  # needs records at every hour; single-hour exports skip it
@@ -283,7 +267,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     write_csv(outdir / "pacf.csv", ["lag", "pacf"],
               ([k, repr(float(v))] for k, v in enumerate(pacf_vals)))
 
-    if has_weather:
+    if temps is not None:
         temp = temps.values  # same-day pairing for the correlation analysis
         points = np.column_stack([temp, y])
         km = kmeans2(points, seed=cfg.seed)
@@ -294,14 +278,18 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         }
         report["cubic_fit"] = polyfit_cubic(temp, y).tolist()
 
-    if fit_path:
-        fit = PosteriorFit.load(fit_path)
-        series, frame = _align_to_fit(fit, series, frame)
-        y = series.values
-        model = build_model(fit.model_family, series, frame)
-        ppd = ppd_insample(fit, model, n_draws=value("n_draws", int, 1000),
-                           seed=cfg.seed)
-        res = residual_report(y, ppd.mean)
+    if fit:
+        ts = fit.train_summary
+        span = combo.series.locate(ts.get("first_date"), ts.get("last_date"))
+        if span is None:
+            raise IncompatibleFit(
+                "fit was trained on a window the config data does not cover")
+        if ts.get("n_obs") != span[1] - span[0] + 1:
+            raise IncompatibleFit(
+                "fit was trained on a different window than the config data")
+        model = combo.model(*span)
+        ppd = ppd_insample(fit, model, n_draws=n_draws, seed=cfg.seed)
+        res = residual_report(model.y, ppd.mean)
         report["residuals"] = {
             "r_resid_pred": res.r_resid_pred,
             "r_resid_pred_degenerate": res.r_resid_pred_degenerate,
@@ -316,7 +304,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         vol_mean, vol_lo, vol_hi = volatility_path(fit)
         write_csv(outdir / "volatility.csv",
                   ["date", "vol_mean", "vol_low", "vol_high"],
-                  ([str(series.dates[i]), repr(float(vol_mean[i])),
+                  ([str(model.dates[i]), repr(float(vol_mean[i])),
                     repr(float(vol_lo[i])), repr(float(vol_hi[i]))]
                    for i in range(len(vol_mean))))
         if fit.model_family == "svx":

@@ -189,9 +189,13 @@ class RunConfig:
 
     def forecast_settings(self) -> dict:
         section = self.section("forecast")
+        n_draws = typed("forecast", section, "n_draws", int, 1000)
+        if n_draws < 1:
+            raise ConfigError(f"config key 'forecast.n_draws' must be "
+                              f"positive, got {n_draws}")
         return {
             "horizon": typed("forecast", section, "horizon", int, 7),
-            "n_draws": typed("forecast", section, "n_draws", int, 1000),
+            "n_draws": n_draws,
             "mode": typed("forecast", section, "mode", PpdMode,
                           PpdMode.POINT_ESTIMATE),
             "vol_mode": typed("forecast", section, "vol_mode", VolMode,

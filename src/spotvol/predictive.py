@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import HorizonZero, MissingExogenous, ModeUnsupported
+from .errors import HorizonZero, MissingExogenous, ModeUnsupported, TooFewDraws
 from .ingest import write_csv, write_json
 from .models import COEF_NAMES, Standardizer, mean_values
 from .posterior import PosteriorFit
@@ -127,7 +127,7 @@ def ppd_insample(fit: PosteriorFit, model, n_draws: int = 1000,
     """Sample the in-sample predictive distribution over the training days."""
     _check_fit(fit)
     if n_draws < 100:
-        raise ValueError("n_draws must be >= 100")
+        raise TooFewDraws("n_draws must be >= 100")
     mode = PpdMode(mode)
     idx_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     z = np.random.default_rng(noise_seq).standard_normal((n_draws, model.T))
@@ -155,6 +155,8 @@ def forecast(fit: PosteriorFit, horizon: int, n_draws: int = 1000,
     _check_fit(fit)
     if horizon < 1:
         raise HorizonZero("horizon must be >= 1")
+    if n_draws < 1:
+        raise TooFewDraws("n_draws must be >= 1")
     mode = PpdMode(mode)
     vol_mode = VolMode(vol_mode)
     ts = fit.train_summary

@@ -113,6 +113,17 @@ class DailySeries:
         return replace(self, dates=self.dates[start:stop],
                        values=self.values[start:stop])
 
+    def locate(self, first, last) -> tuple[int, int] | None:
+        """Positions (lo, hi) of the inclusive date range first..last, or
+        None when either date is not a day of the series."""
+        if not len(self):
+            return None
+        lo, hi = (np.array([first, last], dtype="datetime64[D]")
+                  - self.dates[0]).astype(np.int64)
+        if 0 <= lo <= hi < len(self):
+            return int(lo), int(hi)
+        return None
+
 
 @dataclass(frozen=True)
 class PriceSeries(DailySeries):
@@ -199,11 +210,6 @@ class FoldPlan:
 
     def __len__(self) -> int:
         return len(self.folds)
-
-    def date_folds(self, start_date) -> list:
-        """Folds as (train_start, train_end, test_start, test_end) dates."""
-        d0 = np.datetime64(start_date, "D")
-        return [tuple(d0 + np.timedelta64(i, "D") for i in f) for f in self.folds]
 
 
 def select_hour(raw: HourlyTable, hour: int, zone: Zone = Zone.ZONE1) -> PriceSeries:

@@ -19,7 +19,7 @@ from spotvol import (
     rolling_forecast,
     synthesize,
 )
-from spotvol.errors import InsufficientFutureData, LengthMismatch
+from spotvol.errors import InsufficientFutureData, LengthMismatch, SpotvolError
 from tests.conftest import fast_sampler
 
 
@@ -338,6 +338,15 @@ def test_rolling_forecast_insufficient_future():
     with pytest.raises(InsufficientFutureData):
         rolling_forecast(combo, (str(y.dates[0]), str(y.dates[359])),
                          30, cfg, seed=1)
+
+
+def test_rolling_forecast_first_train_outside_series():
+    truth, y, frame = _cv_material(n_days=80, seed=5)
+    combo = CvCombination("baseline", hour=14, zone=1, series=y, exog=frame)
+    cfg = BacktestConfig(sampler=fast_sampler(), n_draws=100)
+    day_before = str(y.dates[0] - np.timedelta64(1, "D"))
+    with pytest.raises(SpotvolError, match="first_train"):
+        rolling_forecast(combo, (day_before, str(y.dates[59])), 1, cfg, seed=3)
 
 
 def test_rolling_forecast_string_modes_serialize(monkeypatch):

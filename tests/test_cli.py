@@ -137,6 +137,53 @@ def test_forecast_family_mismatch(workspace, tmp_path, capsys):
     assert "IncompatibleFit" in capsys.readouterr().err
 
 
+def test_forecast_past_the_data_reported(workspace, tmp_path, capsys):
+    # the data end 9 days after the fit's window, short of a 30-day horizon
+    _, out, _ = workspace
+    cfg = {**base_config(tmp_path / "out"),
+           "data": {"prices": {1: str(out / "prices.csv")},
+                    "weather": {1: str(out / "weather.csv")}}}
+    cfg["forecast"] = {**cfg["forecast"], "horizon": 30}
+    rc = main(["forecast", "-c", str(write_config(tmp_path, cfg)),
+               "--fit", str(out / "fit.json")])
+    assert rc == 1
+    assert "error [InsufficientFutureData]" in capsys.readouterr().err
+
+
+def test_diagnose_fit_outside_the_data_reported(workspace, tmp_path, capsys):
+    # the fit's window ends on day 330; these data hold the first 60 days
+    _, out, _ = workspace
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "short",
+                                                  n_days=60))
+    assert main(["synth", "-c", str(cfg_path)]) == 0
+    capsys.readouterr()
+    rc = main(["diagnose", "-c", str(cfg_path),
+               "--fit", str(out / "fit.json")])
+    assert rc == 1
+    assert "error [IncompatibleFit]" in capsys.readouterr().err
+
+
+def test_diagnose_baseline_fit_with_weather_configured(workspace, tmp_path):
+    # a baseline fit trains from day 0, which has no weather lag row
+    _, out, _ = workspace
+    run = tmp_path / "run"
+    cfg = {**base_config(run, model="baseline"),
+           "data": {"prices": {1: str(out / "prices.csv")},
+                    "weather": {1: str(out / "weather.csv")}},
+           "fit": {"train_days": 120},
+           "sampler": {"chains": 2, "warmup": 200, "draws": 500,
+                       "leapfrog_steps": 8}}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["fit", "-c", str(cfg_path)]) in (0, 2)
+    assert main(["diagnose", "-c", str(cfg_path),
+                 "--fit", str(run / "fit.json")]) == 0
+    rows = (run / "residuals.csv").read_text().splitlines()
+    assert len(rows) == 1 + 120
+    vol = (run / "volatility.csv").read_text().splitlines()
+    assert len(vol) == 1 + 120
+    assert vol[1].split(",")[0] == SYNTH["start_date"]
+
+
 def test_cv_single_fold(workspace):
     tmp, out, cfg_path = workspace
     assert main(["cv", "-c", str(cfg_path)]) == 0
@@ -222,6 +269,11 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     ("diagnose", {"diagnose": {"pacf_max_lag": -3}}),
     ("synth", {"synth": {**SYNTH, "svx": 5}}),
     ("synth", {"synth": {**SYNTH, "temp": {"bogus": 1}}}),
+    ("fit", {"fit": {"train_days": -5}}),
+    ("fit", {"fit": {"train_days": 0}}),
+    ("fit", {"fit": {"train_days": 100000}}),
+    ("forecast", {"forecast": {"n_draws": 0}}),
+    ("diagnose", {"diagnose": {"n_draws": 50}}),
 ])
 def test_malformed_config_values_reported(workspace, tmp_path, capsys,
                                           command, override):

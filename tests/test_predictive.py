@@ -12,7 +12,12 @@ from spotvol import (
     ppd_insample,
     volatility_path,
 )
-from spotvol.errors import HorizonZero, MissingExogenous, ModeUnsupported
+from spotvol.errors import (
+    HorizonZero,
+    MissingExogenous,
+    ModeUnsupported,
+    TooFewDraws,
+)
 from spotvol.posterior import PosteriorFit
 from tests.conftest import degenerate_fit
 
@@ -140,6 +145,10 @@ def test_forecast_errors(baseline_truth):
     fit_empty.draws = np.empty((0, len(fit_empty.param_names)))
     with pytest.raises(ModeUnsupported):
         forecast(fit_empty, 3, seed=1)
+    with pytest.raises(TooFewDraws):
+        forecast(fit, 3, n_draws=0, seed=1)
+    with pytest.raises(TooFewDraws):
+        ppd_insample(fit, model, n_draws=50, seed=1)
 
 
 def test_volatility_path_constants(baseline_truth):

@@ -156,13 +156,6 @@ def test_build_folds_count_formula(total, train, test):
         assert nxt[0] - prev[0] == test
 
 
-def test_fold_plan_dates():
-    plan = build_folds(450, 360, 90)
-    (ts, te, vs, ve), = plan.date_folds("2020-01-01")
-    assert ts == np.datetime64("2020-01-01")
-    assert vs - te == np.timedelta64(1, "D")
-
-
 def test_exogenous_frame_drops_first_day(baseline_truth):
     prices = baseline_truth.daily_prices
     temps = baseline_truth.daily_temps
@@ -215,3 +208,16 @@ def test_price_series_window_keeps_zone():
     assert isinstance(w, PriceSeries)
     assert w.zone == Zone.ZONE2
     assert np.array_equal(w.values, [3.0, 4.0, 5.0, 6.0])
+
+
+def test_daily_series_locate():
+    dates = np.arange(np.datetime64("2024-01-01"), np.datetime64("2024-01-11"))
+    s = DailySeries(dates, np.arange(10.0), hour=5)
+    assert s.locate("2024-01-03", dates[6]) == (2, 6)
+    assert s.locate(dates[0], dates[-1]) == (0, 9)
+    assert s.locate("2024-01-04", "2024-01-04") == (3, 3)
+    assert s.locate("2023-12-31", "2024-01-05") is None  # before day 0
+    assert s.locate("2024-01-05", "2024-01-11") is None  # past the end
+    assert s.locate("2024-01-05", "2024-01-04") is None  # reversed
+    assert s.locate(None, "2024-01-04") is None          # NaT
+    assert s.window(0, 0).locate("2024-01-01", "2024-01-01") is None
