@@ -5,7 +5,7 @@ driven by a declarative config file, write their outputs plus a manifest
 into the config's output directory, and are byte-reproducible: re-running
 a command from its manifest regenerates identical files.
 
-Exit codes: 0 ok, 1 error, 2 ok with warnings (fit with R-hat above 1.05).
+Exit codes: 0 ok, 1 error, 2 ok with warnings (fit or forecast, R-hat > 1.05).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     InsufficientFutureData,
     SpotvolError,
 )
-from .hmc import sample
+from .hmc import RHAT_WARN, sample
 from .ingest import (
     export_hourly,
     load_prices,
@@ -126,7 +126,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     fit.save(outdir / "fit.json")
     _write_manifest(cfg, "fit", outdir)
     print(_fit_stdout_summary(fit))
-    return 2 if fit.diagnostics["max_rhat"] > 1.05 else 0
+    return 2 if fit.diagnostics["max_rhat"] > RHAT_WARN else 0
 
 
 def cmd_forecast(cfg: RunConfig, fit_path) -> int:
@@ -153,14 +153,17 @@ def cmd_forecast(cfg: RunConfig, fit_path) -> int:
                   mode=settings["mode"], vol_mode=settings["vol_mode"],
                   exog_future=exog_future, seed=cfg.seed)
     fc.to_csv(outdir / "forecast.csv")
-    fc.save_json(outdir / "forecast.json")
+    write_json(outdir / "forecast.json", {**fc.to_json_dict(),
+               "max_rhat": fit.diagnostics["max_rhat"], "warnings": fit.warnings})
     _write_manifest(cfg, "forecast", outdir, {"fit": str(fit_path)})
     print(f"forecast horizon {horizon} written to {outdir / 'forecast.csv'}")
     for t in range(fc.horizon):
         label = str(fc.dates[t]) if fc.dates is not None else str(t)
         print(f"  {label}: mean {fc.mean[t]:.2f} "
               f"[{fc.ci_low[t]:.2f}, {fc.ci_high[t]:.2f}]")
-    return 0
+    for w in fit.warnings:
+        print(f"warning: {w}")
+    return 2 if fit.diagnostics["max_rhat"] > RHAT_WARN else 0
 
 
 def cmd_cv(cfg: RunConfig) -> int:
@@ -190,9 +193,13 @@ def cmd_cv(cfg: RunConfig) -> int:
     total = value("total_days", int, None) or min(len(c.series) for c in combos)
     plan = build_folds(total, value("train_days", int, 360),
                        value("test_days", int, 90))
+    n_draws = value("n_draws", int, 1000)
+    if n_draws < 1:
+        raise ConfigError(f"config key 'cv.n_draws' must be positive, "
+                          f"got {n_draws}")
     bt_cfg = BacktestConfig(
         sampler=cfg.sampler_config(),
-        n_draws=value("n_draws", int, 1000),
+        n_draws=n_draws,
         mode=value("mode", PpdMode, PpdMode.POINT_ESTIMATE),
         vol_mode=value("vol_mode", VolMode, VolMode.PROPAGATE),
         max_workers=section.get("max_workers"),

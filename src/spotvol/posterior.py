@@ -1,8 +1,8 @@
-"""Posterior fit container and its JSON round trip."""
+"""Posterior fit container, saved as fit.json plus a .npy file of draws."""
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -11,20 +11,6 @@ import numpy as np
 
 from .errors import IncompatibleFit
 from .ingest import write_json
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    return {
-        "shape": list(arr.shape),
-        "dtype": "<f8",
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=d["dtype"]).reshape(d["shape"]).copy()
 
 
 @dataclass
@@ -60,41 +46,51 @@ class PosteriorFit:
     def warnings(self) -> list:
         return self.diagnostics.get("warnings", [])
 
-    def to_json_dict(self) -> dict:
-        return {
+    def save(self, path) -> None:
+        """Draws file first, so that a complete fit.json names a complete one."""
+        path = Path(path)
+        draws = np.ascontiguousarray(self.draws, dtype="<f8")
+        np.save(path.with_name(f"{path.stem}.draws.npy"), draws)
+        write_json(path, {
             "model_family": self.model_family,
             "param_names": list(self.param_names),
             "n_chains": self.n_chains,
             "kept_per_chain": self.kept_per_chain,
-            "draws": _encode_array(self.draws),
+            "draws": {"file": f"{path.stem}.draws.npy",
+                      "sha256": hashlib.sha256(draws).hexdigest()},
             "diagnostics": self.diagnostics,
             "summary": self.summary,
             "train_summary": self.train_summary,
-        }
-
-    def save(self, path) -> None:
-        write_json(path, self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PosteriorFit":
-        return cls(
-            draws=_decode_array(d["draws"]),
-            param_names=list(d["param_names"]),
-            n_chains=int(d["n_chains"]),
-            kept_per_chain=int(d["kept_per_chain"]),
-            diagnostics=d["diagnostics"],
-            summary=d["summary"],
-            train_summary=d.get("train_summary", {}),
-            model_family=d.get("model_family", ""),
-        )
+        })
 
     @classmethod
     def load(cls, path) -> "PosteriorFit":
+        path = Path(path)
         try:
-            return cls.from_json_dict(json.loads(Path(path).read_text()))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise IncompatibleFit(
-                f"cannot read a fit from {path}: {exc!r}") from None
+            d = json.loads(path.read_text())
+            ref = d["draws"]
+            if "data" in ref:
+                raise IncompatibleFit(f"{path} is in an older format; refit")
+            draws = np.load(path.with_name(ref["file"]))
+            fit = cls(
+                draws=draws,
+                param_names=list(d["param_names"]),
+                n_chains=int(d["n_chains"]),
+                kept_per_chain=int(d["kept_per_chain"]),
+                diagnostics=d["diagnostics"],
+                summary=d["summary"],
+                train_summary=d.get("train_summary", {}),
+                model_family=d.get("model_family", ""),
+            )
+            if (draws.shape != (fit.n_chains * fit.kept_per_chain,
+                                len(fit.param_names))
+                    or hashlib.sha256(draws).hexdigest() != ref["sha256"]):
+                raise IncompatibleFit(f"{ref['file']} does not match {path}")
+            float(fit.diagnostics["max_rhat"])  # forecast and report read it
+            return fit
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise IncompatibleFit(f"cannot read a fit from {path}: "
+                                  f"{type(exc).__name__}: {exc}") from None
 
 
 def summarize_draws(draws: np.ndarray, param_names) -> dict:

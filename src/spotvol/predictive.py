@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import HorizonZero, MissingExogenous, ModeUnsupported, TooFewDraws
-from .ingest import write_csv, write_json
+from .ingest import write_csv
 from .models import COEF_NAMES, Standardizer, mean_values
 from .posterior import PosteriorFit
 from .series import ExogenousFrame
@@ -78,9 +78,6 @@ class ForecastSet:
         if self.dates is not None:
             d["dates"] = [str(x) for x in self.dates]
         return d
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
 
     @classmethod
     def from_draws(cls, draws, vols, mode, vol_mode=None,

@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -105,10 +107,26 @@ def test_fit_outputs(workspace):
 
 def test_fit_manifest_replay_byte_identical(workspace):
     _, out, _ = workspace
-    before = _hash(out / "fit.json")
+    names = ("fit.json", "fit.draws.npy")
+    before = [_hash(out / name) for name in names]
     assert main(["fit", "--from-manifest",
                  str(out / "fit_manifest.json")]) == 0
-    assert _hash(out / "fit.json") == before
+    assert [_hash(out / name) for name in names] == before
+
+
+def test_fit_save_load_round_trip(workspace, tmp_path):
+    _, out, _ = workspace
+    fit = PosteriorFit.load(out / "fit.json")
+    fit.save(tmp_path / "fit.json")
+    back = PosteriorFit.load(tmp_path / "fit.json")
+    assert back.draws.dtype == np.float64 and back.draws.flags.c_contiguous
+    assert back.draws.tobytes() == fit.draws.tobytes()
+    for f in dataclasses.fields(PosteriorFit):
+        if f.name != "draws":
+            assert getattr(back, f.name) == getattr(fit, f.name), f.name
+    # re-saving a loaded fit gives the bytes the sampler's fit was saved as
+    for name in ("fit.json", "fit.draws.npy"):
+        assert _hash(tmp_path / name) == _hash(out / name)
 
 
 def test_forecast_csv_and_roundtrip(workspace):
@@ -274,6 +292,7 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     ("fit", {"fit": {"train_days": 100000}}),
     ("forecast", {"forecast": {"n_draws": 0}}),
     ("diagnose", {"diagnose": {"n_draws": 50}}),
+    ("cv", {"cv": {**base_config(Path("out"))["cv"], "n_draws": 0}}),
 ])
 def test_malformed_config_values_reported(workspace, tmp_path, capsys,
                                           command, override):
@@ -296,6 +315,11 @@ def test_malformed_config_values_reported(workspace, tmp_path, capsys,
     (["forecast", "--fit", "{tmp}/not_json.txt"], "IncompatibleFit"),
     (["forecast", "--from-manifest", "{tmp}/nope.json"], "ConfigError"),
     (["forecast", "--from-manifest", "{tmp}/no_config.json"], "ConfigError"),
+    (["forecast", "--fit", "{tmp}/no_draws/fit.json"], "IncompatibleFit"),
+    (["forecast", "--fit", "{tmp}/flipped/fit.json"], "IncompatibleFit"),
+    (["forecast", "--fit", "{tmp}/base64/fit.json"], "IncompatibleFit"),
+    (["diagnose", "--fit", "{tmp}/pickled/fit.json"], "IncompatibleFit"),
+    (["forecast", "--fit", "{tmp}/no_rhat/fit.json"], "IncompatibleFit"),
 ])
 def test_unreadable_fit_or_manifest_reported(workspace, tmp_path, capsys,
                                              argv, error):
@@ -305,6 +329,26 @@ def test_unreadable_fit_or_manifest_reported(workspace, tmp_path, capsys,
                     "weather": {1: str(out / "weather.csv")}}}
     (tmp_path / "not_json.txt").write_text("not json")
     (tmp_path / "no_config.json").write_text(json.dumps({"command": "forecast"}))
+    # broken copies of the workspace fit: no draws file, one flipped byte,
+    # the base64 draws of older releases, a pickled object array, no max_rhat
+    doc = json.loads((out / "fit.json").read_text())
+    draws = (out / "fit.draws.npy").read_bytes()
+    flipped = draws[:-1] + bytes([draws[-1] ^ 1])
+    old = {**doc, "draws": {"shape": [doc["n_chains"] * doc["kept_per_chain"],
+                                      len(doc["param_names"])],
+                            "dtype": "<f8", "data": base64.b64encode(
+                                np.load(out / "fit.draws.npy")).decode()}}
+    for name, fit_doc, npy in [("no_draws", doc, None),
+                               ("flipped", doc, flipped),
+                               ("base64", old, None),
+                               ("pickled", doc, None),
+                               ("no_rhat", {**doc, "diagnostics": {}}, draws)]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "fit.json").write_text(json.dumps(fit_doc))
+        if npy is not None:
+            (tmp_path / name / "fit.draws.npy").write_bytes(npy)
+    np.save(tmp_path / "pickled" / "fit.draws.npy",
+            np.array([{"a": 1}], dtype=object), allow_pickle=True)
     argv = [a.format(tmp=tmp_path) for a in argv]
     if "--fit" in argv:
         argv += ["-c", str(write_config(tmp_path, cfg))]
@@ -341,6 +385,12 @@ def test_fit_warning_exit_code(monkeypatch, tmp_path, workspace):
                    "weather": {1: str(out / "weather.csv")}}
     cfg_path2 = write_config(tmp_path, cfg)
     assert main(["fit", "-c", str(cfg_path2)]) == 2
+    # forecast from that fit carries the warning into its outputs
+    assert main(["forecast", "-c", str(cfg_path2),
+                 "--fit", str(tmp_path / "warn" / "fit.json")]) == 2
+    doc = json.loads((tmp_path / "warn" / "forecast.json").read_text())
+    assert doc["max_rhat"] == 1.2
+    assert isinstance(doc["warnings"], list)
 
 
 def test_commands_do_not_mutate_inputs(workspace):
