@@ -51,6 +51,7 @@ class MetricReport:
     hour: int | None = None
     zone: int | None = None
     fold_id: int | None = None
+    max_rhat: float | None = None     # of the fit behind a fold's forecast
 
     def __post_init__(self):
         if self.mae < 0 or self.rmse < 0:
@@ -145,22 +146,25 @@ def _seed_pairs(seed: int, n: int) -> list:
 
 def _fit_forecast(combo: CvCombination, lo: int, hi: int, horizon: int,
                   cfg: BacktestConfig, fit_seed: int,
-                  fc_seed: int) -> ForecastSet:
+                  fc_seed: int) -> tuple:
     """Fit the combination's family on days lo..hi (inclusive) and forecast
-    the `horizon` days after hi."""
+    the `horizon` days after hi; returns the ForecastSet and the fit's max
+    R-hat."""
     fit = sample(combo.model(lo, hi), cfg.sampler, fit_seed)
-    return forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
-                    vol_mode=cfg.vol_mode,
-                    exog_future=combo.future_exog(hi, horizon), seed=fc_seed)
+    fc = forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
+                  vol_mode=cfg.vol_mode,
+                  exog_future=combo.future_exog(hi, horizon), seed=fc_seed)
+    return fc, fit.diagnostics["max_rhat"]
 
 
 def _report(combo: CvCombination, start: int, mean,
-            fold_id: int | None = None) -> MetricReport:
+            fold_id: int | None = None,
+            max_rhat: float | None = None) -> MetricReport:
     """Score forecast means against the days from `start` on."""
     actual = combo.series.values[start:start + len(mean)]
     return MetricReport(mae=mae(actual, mean), rmse=rmse(actual, mean),
                         n=len(mean), model_id=combo.model_id, hour=combo.hour,
-                        zone=combo.zone, fold_id=fold_id)
+                        zone=combo.zone, fold_id=fold_id, max_rhat=max_rhat)
 
 
 def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
@@ -188,11 +192,12 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
                 raise SpotvolError(
                     f"test window starts on day {c}, not the day after the "
                     f"train window ends ({b})")
-            # only the means outlive the call, so no fold's draws reach
+            fc, max_rhat = _fit_forecast(combo, a, b, d - c + 1, cfg,
+                                         fit_seed, fc_seed)
+            rep = _report(combo, c, fc.mean, fi, max_rhat)
+            # only the means outlive the fold, so no fold's draws reach
             # the next fold's peak memory
-            mean = _fit_forecast(combo, a, b, d - c + 1, cfg, fit_seed,
-                                 fc_seed).mean
-            rep = _report(combo, c, mean, fi)
+            del fc
         except _FOLD_ERRORS as exc:
             failures[combo.model_id].append(
                 (fi, f"{type(exc).__name__}: {exc}"))
@@ -231,6 +236,7 @@ class RollingResult:
     forecast: ForecastSet
     report: MetricReport
     train_ranges: list                # [(start_date, end_date)] per refit
+    max_rhat: list                    # the max R-hat of each refit's fit
 
 
 def rolling_forecast(combo: CvCombination, first_train: tuple,
@@ -252,13 +258,14 @@ def rolling_forecast(combo: CvCombination, first_train: tuple,
         raise InsufficientFutureData(
             f"series ends {dates[-1]}, need {horizon_days} days past {dates[b]}")
 
-    day_forecasts = [_fit_forecast(combo, a + j, b + j, 1, cfg, *seeds)
-                     for j, seeds in enumerate(_seed_pairs(seed, horizon_days))]
+    refits = [_fit_forecast(combo, a + j, b + j, 1, cfg, *seeds)
+              for j, seeds in enumerate(_seed_pairs(seed, horizon_days))]
     fcset = ForecastSet.from_draws(
-        np.column_stack([fc.draws[:, 0] for fc in day_forecasts]),
-        np.column_stack([fc.vol_draws[:, 0] for fc in day_forecasts]),
+        np.column_stack([fc.draws[:, 0] for fc, _ in refits]),
+        np.column_stack([fc.vol_draws[:, 0] for fc, _ in refits]),
         cfg.mode, cfg.vol_mode, dates[b + 1: b + 1 + horizon_days])
     return RollingResult(
         forecast=fcset, report=_report(combo, b + 1, fcset.mean),
         train_ranges=[(dates[a + j], dates[b + j])
-                      for j in range(horizon_days)])
+                      for j in range(horizon_days)],
+        max_rhat=[max_rhat for _, max_rhat in refits])

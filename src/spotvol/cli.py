@@ -209,8 +209,10 @@ def cmd_cv(cfg: RunConfig) -> int:
     summary = cross_validate(combos, plan, bt_cfg, cfg.seed)
 
     write_json(outdir / "cv_summary.json", summary.to_json_dict())
-    write_csv(outdir / "cv_folds.csv", ["model_id", "fold_id", "mae", "rmse", "n"],
-              ([mid, r.fold_id, repr(r.mae), repr(r.rmse), r.n]
+    write_csv(outdir / "cv_folds.csv",
+              ["model_id", "fold_id", "mae", "rmse", "n", "max_rhat"],
+              ([mid, r.fold_id, repr(r.mae), repr(r.rmse), r.n,
+                repr(r.max_rhat)]
                for mid in sorted(summary.reports)
                for r in summary.reports[mid]))
     _write_manifest(cfg, "cv", outdir)

@@ -2,21 +2,23 @@
 
 Fixed-length leapfrog trajectories with a small deterministic step-size
 jitter, dual-averaging step-size adaptation toward a target acceptance
-rate, and windowed diagonal mass-matrix estimation during warmup. Chains
-run one after another in the calling thread: the numpy kernel holds the
-GIL, so a thread pool only adds contention. Each chain owns an independent
-RNG substream and a fixed output slot.
+rate, and windowed diagonal mass-matrix estimation during warmup. The
+chains of a fit run in lockstep in the calling thread: each iteration
+moves all of them with one trajectory call, their positions the rows of
+one array. Each chain owns an independent RNG substream, step size,
+metric and output slot, so its draws do not depend on the other chains.
 
 The model integrates: ``model.trajectory(theta, p, grad, eps, n_steps,
-inv_mass) -> (theta, p, lp, grad)`` runs n_steps leapfrog steps and
-computes the log density only at the end point, which is all that
-accept/reject uses. ``model.logp_grad`` is called once per chain, at its
-initial position.
+inv_mass) -> (theta, p, lp, grad)`` runs n_steps leapfrog steps from
+each row of the (B, dim) theta, with eps (B,) and inv_mass (B, dim) per
+row, and computes the log density (B,) only at the end points, which is
+all that accept/reject uses. ``model.logp_grad`` is called once per
+chain, at its initial position.
 
 A chain's state is one mutable ``ChainState``: position, log density,
 gradient, inverse metric and RNG. ``init_chain`` builds it and
-``transition`` advances it in place, so warmup and sampling are two loops
-over ``transition``. The state never leaves this module.
+``transition`` advances a list of them in place, so warmup and sampling
+are two loops over ``transition``. The state never leaves this module.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ STEP_JITTER = 0.1
 @dataclass
 class SamplerConfig:
     """HMC settings; ``max_workers`` is accepted and ignored (chains run
-    serially) so that existing configs keep loading."""
+    in lockstep in one thread) so that existing configs keep loading."""
 
     n_chains: int = 4
     warmup: int = 1000
@@ -115,22 +117,37 @@ def _energy(lp, p, inv_mass):
     return -lp + 0.5 * float(np.dot(p * p, inv_mass))
 
 
-def transition(model, state: ChainState, eps, n_steps):
-    """One HMC transition of n_steps jittered leapfrog steps; an accepted
-    proposal replaces the state's position. Returns (accept_prob,
-    divergent); a divergent transition draws no accept uniform."""
-    rng, inv_mass = state.rng, state.inv_mass
-    eps *= 1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0)
-    p0 = rng.standard_normal(len(state.theta)) / np.sqrt(inv_mass)
-    theta1, p1, lp1, grad1 = model.trajectory(
-        state.theta, p0, state.grad, eps, n_steps, inv_mass)
-    delta = _energy(lp1, p1, inv_mass) - _energy(state.lp, p0, inv_mass)
-    if not math.isfinite(delta) or delta > DIVERGENCE_ENERGY:
-        return 0.0, True
-    accept_prob = 1.0 if delta <= 0.0 else math.exp(-delta)
-    if rng.random() < accept_prob:
-        state.theta, state.lp, state.grad = theta1, lp1, grad1
-    return accept_prob, False
+def _trajectory(model, states, p, eps, n_steps):
+    """model.trajectory from the states' positions, one row per state."""
+    return model.trajectory(
+        np.array([st.theta for st in states]), p,
+        np.array([st.grad for st in states]), eps, n_steps,
+        np.array([st.inv_mass for st in states]))
+
+
+def transition(model, states, eps, n_steps):
+    """One HMC transition of n_steps jittered leapfrog steps for every
+    chain, with eps its step sizes; an accepted proposal replaces that
+    chain's position. Each chain draws its jitter and momentum from its own
+    RNG before the one trajectory call. Returns (accept_prob, divergent)
+    per chain; a divergent transition draws no accept uniform."""
+    eps = [e * (1.0 + STEP_JITTER * (2.0 * st.rng.random() - 1.0))
+           for e, st in zip(eps, states)]
+    p0 = np.array([st.rng.standard_normal(len(st.theta)) / np.sqrt(st.inv_mass)
+                   for st in states])
+    theta1, p1, lp1, grad1 = _trajectory(model, states, p0, eps, n_steps)
+    out = []
+    for b, st in enumerate(states):
+        delta = (_energy(lp1[b], p1[b], st.inv_mass)
+                 - _energy(st.lp, p0[b], st.inv_mass))
+        if not math.isfinite(delta) or delta > DIVERGENCE_ENERGY:
+            out.append((0.0, True))
+            continue
+        accept_prob = 1.0 if delta <= 0.0 else math.exp(-delta)
+        if st.rng.random() < accept_prob:
+            st.theta, st.lp, st.grad = theta1[b], float(lp1[b]), grad1[b]
+        out.append((accept_prob, False))
+    return out
 
 
 def _find_initial_step(model, state: ChainState):
@@ -140,9 +157,8 @@ def _find_initial_step(model, state: ChainState):
     eps, direction = 1.0, 0.0
     for _ in range(65):  # a unit-step probe, then up to 64 doublings/halvings
         eps *= 2.0 ** direction
-        _, p1, lp1, _ = model.trajectory(state.theta, p, state.grad, eps, 1,
-                                         state.inv_mass)
-        h1 = _energy(lp1, p1, state.inv_mass)
+        _, p1, lp1, _ = _trajectory(model, [state], p[None], [eps], 1)
+        h1 = _energy(lp1[0], p1[0], state.inv_mass)
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
         if not direction:
             direction = 1.0 if delta > math.log(0.5) else -1.0
@@ -162,53 +178,59 @@ def _adaptation_schedule(warmup):
     return ends[1:]
 
 
-def _run_chain(model, cfg: SamplerConfig, seed_seq):
-    state = init_chain(model, seed_seq)
-    da = _DualAveraging(_find_initial_step(model, state), cfg.target_accept)
+def _run_chains(model, cfg: SamplerConfig, seeds):
+    """Warm up and sample every chain in lockstep; returns the kept draws
+    (chains, draws, params) and each chain's statistics."""
+    states = [init_chain(model, s) for s in seeds]
+    das = [_DualAveraging(_find_initial_step(model, st), cfg.target_accept)
+           for st in states]
     window_ends = _adaptation_schedule(cfg.warmup)  # non-empty: warmup >= 200
-    window = []
+    windows = [[] for _ in states]
     for m in range(1, cfg.warmup + 1):
-        aprob, _ = transition(model, state, math.exp(da.log_eps),
-                              cfg.leapfrog_steps)
-        da.update(aprob)
+        steps = transition(model, states, [math.exp(da.log_eps) for da in das],
+                           cfg.leapfrog_steps)
+        for da, (aprob, _) in zip(das, steps):
+            da.update(aprob)
         # the initial and terminal buffers adapt the step size only
         if INIT_BUFFER < m <= window_ends[-1]:
-            window.append(state.theta)  # transition replaces, never mutates
+            for window, st in zip(windows, states):
+                window.append(st.theta)  # transition replaces, never mutates
         if m in window_ends:
-            n = len(window)
-            var = np.asarray(window).var(axis=0, ddof=1)
-            state.inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
-            window = []
-            da = _DualAveraging(_find_initial_step(model, state),
-                                cfg.target_accept)
+            for c, (window, st) in enumerate(zip(windows, states)):
+                n = len(window)
+                var = np.asarray(window).var(axis=0, ddof=1)
+                st.inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
+                das[c] = _DualAveraging(_find_initial_step(model, st),
+                                        cfg.target_accept)
+            windows = [[] for _ in states]
 
-    eps = math.exp(da.log_eps_bar)
-    kept = np.empty((cfg.draws, len(model.param_names)))
-    divergences, accept_sum = 0, 0.0
+    eps = [math.exp(da.log_eps_bar) for da in das]
+    kept = np.empty((len(states), cfg.draws, len(model.param_names)))
+    divergences, accept_sum = [0] * len(states), [0.0] * len(states)
     for i in range(cfg.draws):
-        aprob, divergent = transition(model, state, eps, cfg.leapfrog_steps)
-        divergences += divergent
-        accept_sum += aprob
-        kept[i] = model.transform(state.theta)
-    return kept, {"step_size": eps, "mean_accept": accept_sum / cfg.draws,
-                  "divergences": divergences}
+        steps = transition(model, states, eps, cfg.leapfrog_steps)
+        for c, (st, (aprob, divergent)) in enumerate(zip(states, steps)):
+            divergences[c] += divergent
+            accept_sum[c] += aprob
+            kept[c, i] = model.transform(st.theta)
+    return kept, [{"step_size": e, "mean_accept": a / cfg.draws,
+                   "divergences": d}
+                  for e, a, d in zip(eps, accept_sum, divergences)]
 
 
 def sample(model, cfg: SamplerConfig, seed: int) -> PosteriorFit:
     """Run HMC chains and assemble a PosteriorFit.
 
     Deterministic for fixed (model, cfg, seed): every chain owns a spawned
-    RNG substream and a fixed output slot.
+    RNG substream and a fixed output slot, so chain i's draws are the same
+    in a fit of any number of chains above i.
     """
     cfg.validate()
     seeds = np.random.SeedSequence(seed).spawn(cfg.n_chains)
     # far-tail proposals overflow exp() in the kernel; the sampler rejects
     # them as divergent, so the warnings would carry no information
     with np.errstate(over="ignore", invalid="ignore"):
-        results = [_run_chain(model, cfg, s) for s in seeds]
-
-    per_chain = np.stack([kept for kept, _ in results])   # (chains, draws, p)
-    chain_stats = [stats for _, stats in results]
+        per_chain, chain_stats = _run_chains(model, cfg, seeds)
     draws = per_chain.reshape(-1, per_chain.shape[2])
 
     rhat, zero_var = split_rhat(per_chain)

@@ -4,13 +4,20 @@ This is the hot path. The sampler's one leapfrog integrator lives here
 (``sv_trajectory``): every step evaluates the gradient, hundreds of
 thousands of times per fit, but only a trajectory's end point needs the
 log density, so interior steps skip the terms that feed it alone. One
-body (``_eval``) holds the density and gradient arithmetic for both the
-integrator and the one-point ``sv_logp_grad``. It is vectorized numpy;
-the AR(1) forward and adjoint recursions are each one BLAS unit-bidiagonal
-solve (``dtbsv``), done in place on one band array. A trajectory
-allocates its scratch buffers once and writes them with ``out=``. The
-kernel sets no floating-point error state of its own (the sampler
-silences overflow once per chain).
+body (``_eval``) holds the density and gradient arithmetic, over B rows
+at once: the integrator moves all chains of a fit as the rows of one
+(B, dim) array, and the one-point ``sv_logp_grad`` is its B = 1 call.
+
+Most of a step at the model's usual sizes is the fixed cost of its numpy
+and BLAS calls, which B rows pay once instead of B times. Each row rounds
+exactly as it would alone: the scalar parameters and the log-density
+tail are Python floats row by row, reductions are ``axis=1`` sums and
+stacked ``matmul``/``vecdot`` products, and the AR(1) forward and
+adjoint recursions are each one BLAS unit-bidiagonal solve (``dtbsv``)
+over the rows laid end to end, done in place on one band array. A
+trajectory allocates its scratch buffers once and writes them with
+``out=``. The kernel sets no floating-point error state of its own (the
+sampler silences overflow once per fit).
 
 Parameter vector layout (unconstrained scale), with T latent days and a
 design matrix of k columns (k = 0 for the baseline model):
@@ -53,7 +60,7 @@ def _ar1(x, band, lower):
     """AR(1) recursion over x, in place: x_t += phi * x_{t-1} with
     ``lower=0`` (forward), or x_t += phi * x_{t+1} with ``lower=1``
     (backward, the adjoint of the forward pass). ``band`` is a (2, T)
-    Fortran-order array filled with -phi.
+    Fortran-order array holding -phi.
 
     Each is the transposed solve of a unit-diagonal bidiagonal system whose
     off-diagonal is -phi, so one band array serves both directions. The
@@ -63,14 +70,33 @@ def _ar1(x, band, lower):
     return dtbsv(1, band, x, lower=lower, trans=1, diag=1, overwrite_x=1)
 
 
-def _h_from_u(mu, phi, sigma, f, u, h, band):
-    """AR(1) log-volatility path from standardized innovations u, written
-    into h."""
-    np.multiply(u, sigma, out=h)
-    h[0] = sigma * u[0] / f
-    h = _ar1(h, band, 0)
-    h += mu
-    return h
+def _ar1_rows(s, x, lower, edge, fill):
+    """The AR(1) recursion of every row of the (B, T) array x, in place, as
+    one solve over the rows laid end to end; ``s.band`` is (2, B*T) with
+    each row's -phi and 0 where one row would feed the next.
+
+    That 0 keeps a finite value from crossing, but 0 * inf is NaN. So when
+    a value in ``edge`` (the row ends that the recursion carries into the
+    next row) is not finite, ``fill(s)`` rewrites x's input and each row is
+    solved on its own.
+    """
+    _ar1(x.reshape(-1), s.band, lower)
+    if not all(map(math.isfinite, edge.tolist())):
+        fill(s)
+        T = x.shape[1]
+        for b, row in enumerate(x):
+            _ar1(row, s.band[:, b * T:(b + 1) * T], lower)
+
+
+def _fill_h(s):
+    """The forward solve's input: h_1 = sigma * u_1 / f, h_t = sigma * u_t."""
+    np.multiply(s.u, s.sigma, out=s.h)
+    s.h_first /= s.f
+
+
+def _fill_g(s):
+    """The adjoint solve's input: d logp / d h_t, direct term."""
+    np.subtract(s.half_q, 0.5, out=s.g)
 
 
 def sq_resid(y, ybar):
@@ -81,128 +107,194 @@ def sq_resid(y, ybar):
 
 
 class _Scratch:
-    """Buffers for the density and gradient at one point; a trajectory
-    allocates one set and reuses it on every step."""
+    """Buffers for the density and gradient at the B rows of ``theta``,
+    with the views of theta and of the buffers that each step reads. A
+    trajectory moves ``theta`` in place, and a model keeps one set per row
+    count for all its trajectories: fresh (B, T) buffers on every call
+    would cost page faults at long T."""
 
-    def __init__(self, T, dim):
-        self.band = np.empty((2, T), order="F")
-        self.h = np.empty(T)
-        self.inv_var = np.empty(T)
-        self.half_q = np.empty(T)
-        self.tmp = np.empty(T)
-        self.grad = np.empty(dim)
-        self.move = np.empty(dim)
+    def __init__(self, B, dim, T, k):
+        off = 3 + (k + 1 if k > 0 else 0)
+        (self.theta, self.p, self.step, self.grad,
+         self.move) = np.empty((5, B, dim))
+        theta = self.theta
+        self.head = theta[:, :3]
+        self.sigma_raw = theta[:, 2]
+        self.u = theta[:, off:]
+        self.u0 = self.u[:, 0]
+        self.u_rest = self.u[:, 1:]
+        self.band = np.zeros((2, B * T), order="F")
+        # row b's 2T band entries in memory order, less the first (which
+        # would couple its day 0 to row b-1 in the forward solve) and the
+        # last (its day T-1 to row b+1 in the adjoint): those stay 0
+        self.band_inner = self.band.T.reshape(B, 2 * T)[:, 1:-1]
+        # per-row mu, sigma, f = sqrt(1 - phi^2) and -phi, as (B, 1) views
+        cols = np.empty((B, 4))
+        self.cols = cols.reshape(-1)
+        self.mu, self.sigma, self.f, self.neg_phi = cols.T[:, :, None]
+        (self.h, self.inv_var, self.half_q, self.g, self.tmp,
+         self.r_sq) = np.empty((6, B, T))
+        self.h_first = self.h[:, :1]
+        self.h_lag = self.h[:, :-1]
+        self.tmp_lag = self.tmp[:, :-1]
+        self.h_edge = self.h[:-1, -1]
+        self.g_edge = self.g[1:, 0]
+        self.g0 = self.g[:, 0]
+        self.g_rest = self.g[:, 1:]
+        self.grad_head = self.grad[:, :3]
+        self.grad_u = self.grad[:, off:]
+        self.grad_u0 = self.grad[:, off]
+        if k > 0:
+            self.w = theta[:, 3:3 + k]
+            self.xi = theta[:, 3 + k:off]
+            self.r3 = np.empty((B, T, 1))
+            self.r = self.r3[:, :, 0]
+            self.grad_w = self.grad[:, 3:3 + k]
+            self.grad_xi = self.grad[:, 3 + k]
 
 
-def _eval(theta, y, ybar, Z, r_sq, s, with_lp):
-    """Write the gradient at theta into ``s.grad`` and return the log
-    density, or None when ``with_lp`` is false: the terms that feed only
-    the density are then skipped. A saturated phi or a non-finite sigma
-    gives -inf and a zero gradient. ``r_sq`` is ``sq_resid(y, ybar)`` when
-    Z has no columns and unused otherwise."""
+def _eval(s, y, ybar, Z, r_sq, with_lp):
+    """Write the gradient at each row of the scratch's theta into
+    ``s.grad`` and return the rows' log densities as a list, or None when
+    ``with_lp`` is false: the terms that feed only the density are then
+    skipped. A row with saturated phi or non-finite sigma gets -inf and a
+    zero gradient; it runs through the arithmetic with phi = 0 and
+    sigma = 1, so that it raises no error of its own. ``r_sq`` is
+    ``sq_resid(y, ybar)`` when Z has no columns and unused otherwise."""
     k = Z.shape[1]
-    off = 3 + (k + 1 if k > 0 else 0)
-    grad = s.grad
 
-    mu = float(theta[0])
-    phi = math.tanh(theta[1])
-    sigma = float(np.exp(theta[2]))
-    f2 = 1.0 - phi * phi
-    if f2 <= 0.0 or not math.isfinite(sigma) or sigma <= 0.0:
-        grad.fill(0.0)
-        return -np.inf
-    f = math.sqrt(f2)
-    u = theta[off:]
-    s.band.fill(-phi)
-    h = _h_from_u(mu, phi, sigma, f, u, s.h, s.band)
+    # the scalar head, row by row in Python floats: np.tanh rounds
+    # differently from math.tanh
+    head, cols, bad = [], [], []
+    for b, ((mu, phi_raw, sigma_raw), sigma) in enumerate(
+            zip(s.head.tolist(), np.exp(s.sigma_raw).tolist())):
+        phi = math.tanh(phi_raw)
+        f2 = 1.0 - phi * phi
+        if f2 <= 0.0 or not math.isfinite(sigma) or sigma <= 0.0:
+            bad.append(b)
+            phi, sigma, f2 = 0.0, 1.0, 1.0
+        f = math.sqrt(f2)
+        head.append((mu, phi, sigma, f, sigma_raw))
+        cols += (mu, sigma, f, -phi)
+    s.cols[:] = cols
+    s.band_inner[:] = s.neg_phi
+    _fill_h(s)
+    _ar1_rows(s, s.h, 0, s.h_edge, _fill_h)
+    h = s.h
+    h += s.mu
 
     if k > 0:
-        r = Z @ theta[3:3 + k]
+        r = s.r
+        np.matmul(Z, s.w[:, :, None], out=s.r3)
         r += ybar
-        r += theta[3 + k]
+        r += s.xi
         np.subtract(y, r, out=r)
-        r_sq = np.multiply(r, r, out=s.half_q)
+        r_sq = np.multiply(r, r, out=s.r_sq)
     inv_var = np.negative(h, out=s.inv_var)
     np.exp(inv_var, out=inv_var)
     half_q = np.multiply(r_sq, inv_var, out=s.half_q)
     half_q *= 0.5
-    lp = None
     if with_lp:
         terms = np.multiply(h, -0.5, out=s.tmp)
         terms -= half_q
-        lp = float(terms.sum() - 0.5 * np.dot(u, u))
+        lp = (terms.sum(axis=1) - 0.5 * np.vecdot(s.u, s.u)).tolist()
 
-    g = half_q                      # d logp / d h_t, direct term
-    g -= 0.5
-    abar = _ar1(g, s.band, 1)
-    a0, u0 = float(abar[0]), float(u[0])
+    _fill_g(s)
+    _ar1_rows(s, s.g, 1, s.g_edge, _fill_g)
+    abar = s.g
 
-    grad_u = grad[off:]
-    np.multiply(abar, sigma, out=grad_u)
-    grad_u -= u
-    grad[off] = sigma * a0 / f - u0
+    np.multiply(abar, s.sigma, out=s.grad_u)
+    s.grad_u -= s.u
+    sums = zip(s.g0.tolist(), s.u0.tolist(), s.g_rest.sum(axis=1).tolist(),
+               np.vecdot(s.g_rest, np.subtract(s.h_lag, s.mu,
+                                               out=s.tmp_lag)).tolist(),
+               np.vecdot(s.g_rest, s.u_rest).tolist())
+    scalars, u_first = [], []
+    for b, ((mu, phi, sigma, f, sigma_raw), (a0, u0, a_sum, a_hm, a_u)) \
+            in enumerate(zip(head, sums)):
+        u_first.append(sigma * a0 / f - u0)
+        dmu = a0 + (1.0 - phi) * a_sum
+        dphi = a_hm + a0 * sigma * u0 * phi / (f * f * f)
+        ds_data = sigma * (a_u + a0 * u0 / f)
 
-    dmu = a0 + (1.0 - phi) * float(abar[1:].sum())
-    dphi = float(np.dot(abar[1:], np.subtract(h[:-1], mu, out=s.tmp[:-1])))
-    dphi += a0 * sigma * u0 * phi / (f * f * f)
-    ds_data = sigma * (float(np.dot(abar[1:], u[1:])) + a0 * u0 / f)
-
-    dmu += -2.0 * mu / (100.0 + mu * mu)
-    ds = ds_data - 2.0 * sigma * sigma / (25.0 + sigma * sigma) + 1.0
-    dp = dphi * (1.0 - phi * phi) - 2.0 * phi
-    if with_lp:
-        lp += -math.log1p(mu * mu / 100.0)
-        lp += -math.log1p(sigma * sigma / 25.0) + theta[2]
-        lp += math.log1p(-phi * phi)
+        dmu += -2.0 * mu / (100.0 + mu * mu)
+        ds = ds_data - 2.0 * sigma * sigma / (25.0 + sigma * sigma) + 1.0
+        dp = dphi * (1.0 - phi * phi) - 2.0 * phi
+        scalars.append((dmu, dp, ds))
+        if with_lp:
+            lp[b] += -math.log1p(mu * mu / 100.0)
+            lp[b] += -math.log1p(sigma * sigma / 25.0) + sigma_raw
+            lp[b] += math.log1p(-phi * phi)
+    s.grad_head[:] = scalars
+    s.grad_u0[:] = u_first
 
     if k > 0:
         e = r                       # d logp / d mean_t
         e *= inv_var
-        w = theta[3:3 + k]
-        grad[3:3 + k] = Z.T @ e - w / 100.0
-        xi = theta[3 + k]
-        grad[3 + k] = float(e.sum()) - xi / 100.0
+        np.subtract(np.matmul(Z.T, s.r3)[:, :, 0], s.w / 100.0,
+                    out=s.grad_w)
+        xi = s.xi[:, 0].tolist()
+        s.grad_xi[:] = [e_sum - x / 100.0
+                        for e_sum, x in zip(e.sum(axis=1).tolist(), xi)]
         if with_lp:
-            lp += float(-np.dot(w, w) / 200.0)
-            lp += -xi * xi / 200.0
+            for b, (ww, x) in enumerate(zip(np.vecdot(s.w, s.w).tolist(), xi)):
+                lp[b] += -ww / 200.0
+                lp[b] += -x * x / 200.0
 
-    grad[0] = dmu
-    grad[1] = dp
-    grad[2] = ds
-    return lp
+    for b in bad:
+        s.grad[b] = 0.0
+        if with_lp:
+            lp[b] = -math.inf
+    return lp if with_lp else None
 
 
 def sv_logp_grad(theta, y, ybar, Z):
     """Log posterior density and its gradient on the unconstrained scale."""
-    s = _Scratch(y.shape[0], theta.shape[0])
+    s = _Scratch(1, theta.shape[0], y.shape[0], Z.shape[1])
+    s.theta[0] = theta
     r_sq = sq_resid(y, ybar) if Z.shape[1] == 0 else None
-    return _eval(theta, y, ybar, Z, r_sq, s, True), s.grad
+    return _eval(s, y, ybar, Z, r_sq, True)[0], s.grad[0]
 
 
-def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq):
-    """n_steps >= 1 leapfrog steps from (theta, p), where ``grad`` is the
-    gradient at theta; returns (theta, p, lp, grad) at the end point.
+def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq,
+                  cache):
+    """n_steps >= 1 leapfrog steps from each row of (theta, p), where
+    ``grad`` holds the gradient at each row of theta; returns (theta, p,
+    lp, grad) at the end points.
 
-    Only the last step computes the log density. The inputs are left
-    intact and no output aliases them. ``r_sq`` is as for ``_eval``.
+    theta, p, grad and inv_mass are (B, dim), eps is (B,) and lp is (B,):
+    each row moves with its own step size and metric, and its result does
+    not depend on the other rows. Only the last step computes the log
+    density. The inputs are left intact and no output aliases them.
+    ``r_sq`` is as for ``_eval``; ``cache`` is a dict that the caller
+    keeps for one model, in which the kernel keeps its buffers between
+    calls (so calls with one cache must not overlap).
     """
-    s = _Scratch(y.shape[0], theta.shape[0])
-    theta = theta.copy()
-    step = eps * inv_mass
-    p = p + 0.5 * eps * grad
+    B = theta.shape[0]
+    s = cache.get(B)
+    if s is None:
+        s = cache[B] = _Scratch(B, theta.shape[1], y.shape[0], Z.shape[1])
+    th, q, move = s.theta, s.p, s.move
+    np.copyto(th, theta)
+    eps = np.asarray(eps, dtype=np.float64)[:, None]
+    half = 0.5 * eps
+    step = np.multiply(eps, inv_mass, out=s.step)
+    np.add(p, np.multiply(half, grad, out=move), out=q)
     for i in range(n_steps):
-        theta += np.multiply(step, p, out=s.move)
+        th += np.multiply(step, q, out=move)
         last = i == n_steps - 1
-        lp = _eval(theta, y, ybar, Z, r_sq, s, last)
+        lp = _eval(s, y, ybar, Z, r_sq, last)
         if not last:
-            p += np.multiply(s.grad, eps, out=s.move)
-    p += 0.5 * eps * s.grad
-    return theta, p, lp, s.grad
+            q += np.multiply(s.grad, eps, out=move)
+    q += np.multiply(half, s.grad, out=move)
+    return th.copy(), q.copy(), np.array(lp), s.grad.copy()
 
 
 def sv_h_path(mu, phi, sigma, u):
     """Latent log-volatility path h for one parameter draw."""
     u = np.asarray(u, dtype=np.float64)
-    band = np.full((2, u.shape[0]), -phi, order="F")
-    return _h_from_u(mu, phi, sigma, math.sqrt(1.0 - phi * phi), u,
-                     np.empty(u.shape[0]), band)
+    h = np.multiply(u, sigma)
+    h[0] = sigma * u[0] / math.sqrt(1.0 - phi * phi)
+    h = _ar1(h, np.full((2, u.shape[0]), -phi, order="F"), 0)
+    h += mu
+    return h

@@ -1,13 +1,16 @@
 """Latent-volatility model objects: data binding, transforms, priors.
 
-The models own their training data by value and are never mutated after
-construction, so one model serves every chain of a fit. Gradients are
-analytic (see kernels); transforms map the unconstrained sampling scale to
-the constrained reporting scale.
+The models own their training data by value and never change it after
+construction, so one model serves every chain of a fit. A model also
+keeps the kernel's trajectory buffers between calls, so its trajectories
+must not run concurrently (the sampler runs them one at a time).
+Gradients are analytic (see kernels); transforms map the unconstrained
+sampling scale to the constrained reporting scale.
 
 The sampler sees a model through ``initial_position``, ``logp_grad`` (once
-per chain, at its start), ``trajectory`` (every leapfrog trajectory, run
-by the kernel's integrator) and ``transform``.
+per chain, at its start), ``trajectory`` (every leapfrog trajectory of
+all chains at once, one chain per row, run by the kernel's integrator) and
+``transform``.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ class BaselineSvModel:
         self.design = kernels.EMPTY_DESIGN
         self.dim = 3 + self.T
         self.param_names = SCALAR_NAMES_BASE + _h_names(self.T)
+        self._kernel_cache = {}
 
     # -- sampler interface -------------------------------------------------
 
@@ -87,9 +91,11 @@ class BaselineSvModel:
         return kernels.sv_logp_grad(theta, self.y, self.ybar, self.design)
 
     def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
+        """n_steps leapfrog steps from each row of theta; see
+        ``kernels.sv_trajectory``."""
         return kernels.sv_trajectory(theta, p, grad, eps, n_steps, inv_mass,
                                      self.y, self.ybar, self.design,
-                                     self.r_sq)
+                                     self.r_sq, self._kernel_cache)
 
     def initial_position(self, rng) -> np.ndarray:
         theta = np.zeros(self.dim)

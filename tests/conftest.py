@@ -49,6 +49,16 @@ def leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
     return theta, p + 0.5 * eps * grad, lp, grad
 
 
+def leapfrog_rows(logp_grad, theta, p, grad, eps, n_steps, inv_mass):
+    """``leapfrog`` on each row, in the model ``trajectory`` signature:
+    theta, p, grad and inv_mass are (B, dim), eps and the returned log
+    densities (B,)."""
+    rows = [leapfrog(logp_grad, t, q, g, e, n_steps, m)
+            for t, q, g, e, m in zip(theta, p, grad, eps, inv_mass)]
+    theta, p, lp, grad = zip(*rows)
+    return np.stack(theta), np.stack(p), np.array(lp), np.stack(grad)
+
+
 def fast_sampler(**overrides) -> SamplerConfig:
     """Smallest config the sampler accepts; keeps unit tests quick."""
     kwargs = dict(n_chains=2, warmup=200, draws=500, leapfrog_steps=12,
@@ -78,7 +88,8 @@ def degenerate_fit(model, mu=-1.0, phi=0.9, sigma=0.3, h=None, n_draws=50,
         param_names=names,
         n_chains=2,
         kept_per_chain=n_draws // 2,
-        diagnostics={"rhat": {}, "ess": {}, "divergences": 0, "warnings": []},
+        diagnostics={"rhat": {}, "ess": {}, "divergences": 0, "warnings": [],
+                     "max_rhat": 1.0},
         summary=summarize_draws(draws, names),
         train_summary=model.train_summary(),
         model_family=model.kind,

@@ -101,6 +101,7 @@ def test_cross_validate_single_fold():
         assert len(reports) == 1
         assert reports[0].fold_id == 0
         assert reports[0].n == 90
+        assert reports[0].max_rhat >= 1.0
         agg = summary.aggregates[combo.model_id]
         assert agg["mae"] == pytest.approx(reports[0].mae)
         assert not summary.failures[combo.model_id]
@@ -284,6 +285,7 @@ def test_rolling_forecast_bookkeeping():
     assert res.forecast.horizon == 3
     assert res.report.n == 3
     assert len(res.train_ranges) == 3
+    assert len(res.max_rhat) == 3 and min(res.max_rhat) >= 1.0
     one_day = np.timedelta64(1, "D")
     for prev, nxt in zip(res.train_ranges, res.train_ranges[1:]):
         assert nxt[0] - prev[0] == one_day
@@ -314,6 +316,7 @@ def test_rolling_forecast_single_day_equals_direct():
                              seed=int(seeds[2 * j + 1].generate_state(1)[0]))
         assert np.array_equal(res.forecast.draws[:, j], fc.draws[:, 0])
         assert np.array_equal(res.forecast.vol_draws[:, j], fc.vol_draws[:, 0])
+        assert res.max_rhat[j] == fit.diagnostics["max_rhat"]
 
 
 def test_rolling_forecast_noise_floor():

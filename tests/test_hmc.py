@@ -15,7 +15,7 @@ from spotvol.errors import (
     TooFewDraws,
 )
 from spotvol.hmc import SamplerConfig, init_chain, transition
-from tests.conftest import fast_sampler, leapfrog
+from tests.conftest import fast_sampler, leapfrog_rows
 
 
 class GaussianTarget:
@@ -31,8 +31,8 @@ class GaussianTarget:
         return float(0.5 * theta @ g), g
 
     def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
-        return leapfrog(self.logp_grad, theta, p, grad, eps, n_steps,
-                        inv_mass)
+        return leapfrog_rows(self.logp_grad, theta, p, grad, eps, n_steps,
+                             inv_mass)
 
     def initial_position(self, rng):
         return 0.1 * rng.standard_normal(self.dim)
@@ -141,12 +141,22 @@ def test_divergent_draws_pinned():
         == PINNED_DIVERGENT["chains"]
 
 
+def test_chains_independent_of_batch_composition(baseline_truth):
+    # SeedSequence(s).spawn(4)[:2] equals spawn(2), so chains 0-1 of a
+    # 4-chain fit run from the same substreams as a 2-chain fit
+    model = BaselineSvModel(baseline_truth.daily_prices.window(0, 60))
+    two = sample(model, fast_sampler(n_chains=2), seed=5)
+    four = sample(model, fast_sampler(n_chains=4), seed=5)
+    assert four.draws[:two.draws.shape[0]].tobytes() == two.draws.tobytes()
+    assert four.diagnostics["chains"][:2] == two.diagnostics["chains"]
+
+
 def test_transition_divergent_keeps_state():
     model = GaussianTarget(np.eye(3))
     seed_seq = np.random.SeedSequence(3)
     state = init_chain(model, seed_seq)
     theta, lp, grad = state.theta.copy(), state.lp, state.grad.copy()
-    assert transition(model, state, 1e6, 4) == (0.0, True)
+    assert transition(model, [state], [1e6], 4) == [(0.0, True)]
     assert np.array_equal(state.theta, theta)
     assert state.lp == lp
     assert np.array_equal(state.grad, grad)
@@ -161,7 +171,8 @@ def test_transition_divergent_keeps_state():
 
 class ForwardingProxy:
     """Forwards every attribute to a model, with the exact ``trajectory``
-    signature of e2ebench's tracing proxy; counts kernel calls."""
+    signature of e2ebench's tracing proxy; counts kernel calls, and rows
+    times steps as the leapfrog steps of all trajectories."""
 
     def __init__(self, model):
         self._model = model
@@ -176,7 +187,7 @@ class ForwardingProxy:
         return self._model.logp_grad(theta)
 
     def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
-        self.steps += n_steps
+        self.steps += len(theta) * n_steps
         return self._model.trajectory(theta, p, grad, eps, n_steps, inv_mass)
 
 

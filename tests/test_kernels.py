@@ -3,6 +3,7 @@ the density against a naive per-term reference implementation written
 here; the kernel's leapfrog integrator, through the models, against the
 textbook one in conftest."""
 
+import itertools
 import math
 
 import numpy as np
@@ -144,19 +145,27 @@ def _reference(model, theta, p, eps, n_steps, inv_mass):
     return leapfrog(logp_grad, theta, p, grad, eps, n_steps, inv_mass), lps
 
 
+def _rows(model, theta, p, eps, n_steps, inv_mass):
+    """model.trajectory on a batch of one row; returns the row's (theta,
+    p, lp, grad) and the batch inputs."""
+    grad = model.logp_grad(theta)[1]
+    inputs = (theta[None], p[None], grad[None], inv_mass[None])
+    out = model.trajectory(inputs[0], inputs[1], inputs[2], np.array([eps]),
+                           n_steps, inputs[3])
+    return tuple(a[0] for a in out), inputs
+
+
 def _assert_trajectory_matches(model, theta, p, eps, n_steps, inv_mass):
     """model.trajectory equals the reference bit for bit, leaves its
     inputs intact and returns no array that aliases one; returns the
     reference's per-step log densities and the trajectory's output."""
     (th, pp, lp, g), lps = _reference(model, theta, p, eps, n_steps, inv_mass)
-    grad = model.logp_grad(theta)[1]
-    inputs = (theta, p, grad, inv_mass)
-    before = [a.copy() for a in inputs]
-    out = model.trajectory(theta, p, grad, eps, n_steps, inv_mass)
+    before = [a.copy() for a in (theta, p, inv_mass)]
+    out, inputs = _rows(model, theta, p, eps, n_steps, inv_mass)
     for got, want in zip(out[:2] + out[3:], (th, pp, g)):
         assert got.tobytes() == want.tobytes()
     assert out[2] == lp
-    for arr, orig in zip(inputs, before):
+    for arr, orig in zip((theta, p, inv_mass), before):
         assert arr.tobytes() == orig.tobytes()
     for got in out[:2] + out[3:]:
         assert not any(np.shares_memory(got, a) for a in inputs)
@@ -215,3 +224,51 @@ def test_trajectory_ends_on_saturated_phi(models, family):
     assert math.isfinite(lps[0])
     assert lp == -np.inf
     assert np.all(np.isfinite(grad))
+
+
+def _row_kinds(model):
+    """(theta, p, eps, inv_mass) of four kinds of row: two finite ones, one
+    whose phi stays saturated, and one that a huge step drives to
+    non-finite values everywhere."""
+    rng = np.random.default_rng(8)
+    kinds = {}
+    for name, eps in (("finite_a", 0.01), ("finite_b", 0.02),
+                      ("saturated", 0.01), ("huge_eps", 1e308)):
+        theta = _start(model, rng)
+        if name == "saturated":
+            theta[1] = 50.0  # tanh saturates to exactly 1.0
+        kinds[name] = (theta, rng.standard_normal(model.dim), eps,
+                       np.exp(0.1 * rng.standard_normal(model.dim)))
+    return kinds
+
+
+@pytest.mark.parametrize("family", ["baseline", "svx"])
+def test_trajectory_rows_independent(models, family):
+    """Each row of a batched trajectory equals its call alone bit for bit,
+    in every order of finite, saturated and non-finite rows: the AR(1)
+    solve over the rows laid end to end must not carry a non-finite value
+    from one row into the next. The saturated row must raise no divide
+    warning (pytest turns spotvol's RuntimeWarnings into errors)."""
+    model = models[family]
+    kinds = _row_kinds(model)
+    grads = {n: model.logp_grad(k[0])[1] for n, k in kinds.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = {n: _rows(model, th, p, eps, 3, m)[0]
+                 for n, (th, p, eps, m) in kinds.items()}
+        assert math.isfinite(alone["finite_a"][2])
+        assert alone["saturated"][2] == -np.inf
+        assert not np.isfinite(alone["huge_eps"][0]).any()
+        batches = [[n] for n in kinds]
+        batches += [list(b) for b in itertools.permutations(kinds, 2)]
+        batches += [list(b) for b in itertools.permutations(kinds, 4)]
+        for names in batches:
+            rows = [kinds[n] for n in names]
+            out = model.trajectory(
+                np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]),
+                np.stack([grads[n] for n in names]),
+                np.array([r[2] for r in rows]), 3,
+                np.stack([r[3] for r in rows]))
+            for b, name in enumerate(names):
+                for got, want in zip(out, alone[name]):
+                    assert np.asarray(got[b]).tobytes() \
+                        == np.asarray(want).tobytes(), (names, name)
