@@ -70,33 +70,43 @@ def _ar1(x, band, lower):
     return dtbsv(1, band, x, lower=lower, trans=1, diag=1, overwrite_x=1)
 
 
-def _ar1_rows(s, x, lower, edge, fill):
-    """The AR(1) recursion of every row of the (B, T) array x, in place, as
-    one solve over the rows laid end to end; ``s.band`` is (2, B*T) with
+def _ar1_rows(x, band, lower, edge, fill):
+    """The AR(1) recursion of every row of the (B, T) array x, in place,
+    as one solve over the rows laid end to end; ``band`` is (2, B*T) with
     each row's -phi and 0 where one row would feed the next.
 
     That 0 keeps a finite value from crossing, but 0 * inf is NaN. So when
-    a value in ``edge`` (the row ends that the recursion carries into the
-    next row) is not finite, ``fill(s)`` rewrites x's input and each row is
-    solved on its own.
+    a value in ``edge`` (the view of the row ends that the recursion
+    carries into the next row: x[:-1, -1] forward, x[1:, 0] backward) is
+    not finite, ``fill()`` rewrites x's input and each row is solved on
+    its own.
     """
-    _ar1(x.reshape(-1), s.band, lower)
+    _ar1(x.reshape(-1), band, lower)
     if not all(map(math.isfinite, edge.tolist())):
-        fill(s)
+        fill()
         T = x.shape[1]
         for b, row in enumerate(x):
-            _ar1(row, s.band[:, b * T:(b + 1) * T], lower)
+            _ar1(row, band[:, b * T:(b + 1) * T], lower)
 
 
-def _fill_h(s):
-    """The forward solve's input: h_1 = sigma * u_1 / f, h_t = sigma * u_t."""
-    np.multiply(s.u, s.sigma, out=s.h)
-    s.h_first /= s.f
+def _h_from_u(u, sigma, f, mu, h, h_first, h_edge, band):
+    """AR(1) log-volatility paths from the standardized innovations in the
+    rows of the (B, T) array u, written into h:
 
+        h_1 = mu + sigma * u_1 / f
+        h_t = mu + phi * (h_{t-1} - mu) + sigma * u_t
 
-def _fill_g(s):
-    """The adjoint solve's input: d logp / d h_t, direct term."""
-    np.subtract(s.half_q, 0.5, out=s.g)
+    with mu, sigma and f = sqrt(1 - phi^2) scalars or (B, 1) columns.
+    h_first is the view h[:, :1]; h_edge and band are as for
+    ``_ar1_rows``."""
+    def fill():
+        np.multiply(u, sigma, out=h)
+        np.divide(h_first, f, out=h_first)
+
+    fill()
+    _ar1_rows(h, band, 0, h_edge, fill)
+    h += mu
+    return h
 
 
 def sq_resid(y, ybar):
@@ -110,8 +120,8 @@ class _Scratch:
     """Buffers for the density and gradient at the B rows of ``theta``,
     with the views of theta and of the buffers that each step reads. A
     trajectory moves ``theta`` in place, and a model keeps one set per row
-    count for all its trajectories: fresh (B, T) buffers on every call
-    would cost page faults at long T."""
+    count for all its trajectories and one-point calls: fresh (B, T)
+    buffers on every call would cost page faults at long T."""
 
     def __init__(self, B, dim, T, k):
         off = 3 + (k + 1 if k > 0 else 0)
@@ -132,8 +142,8 @@ class _Scratch:
         cols = np.empty((B, 4))
         self.cols = cols.reshape(-1)
         self.mu, self.sigma, self.f, self.neg_phi = cols.T[:, :, None]
-        (self.h, self.inv_var, self.half_q, self.g, self.tmp,
-         self.r_sq) = np.empty((6, B, T))
+        self.h, self.inv_var, self.half_q, self.g, self.tmp = np.empty(
+            (5, B, T))
         self.h_first = self.h[:, :1]
         self.h_lag = self.h[:, :-1]
         self.tmp_lag = self.tmp[:, :-1]
@@ -178,10 +188,8 @@ def _eval(s, y, ybar, Z, r_sq, with_lp):
         cols += (mu, sigma, f, -phi)
     s.cols[:] = cols
     s.band_inner[:] = s.neg_phi
-    _fill_h(s)
-    _ar1_rows(s, s.h, 0, s.h_edge, _fill_h)
-    h = s.h
-    h += s.mu
+    h = _h_from_u(s.u, s.sigma, s.f, s.mu, s.h, s.h_first, s.h_edge,
+                  s.band)
 
     if k > 0:
         r = s.r
@@ -189,7 +197,7 @@ def _eval(s, y, ybar, Z, r_sq, with_lp):
         r += ybar
         r += s.xi
         np.subtract(y, r, out=r)
-        r_sq = np.multiply(r, r, out=s.r_sq)
+        r_sq = np.multiply(r, r, out=s.half_q)
     inv_var = np.negative(h, out=s.inv_var)
     np.exp(inv_var, out=inv_var)
     half_q = np.multiply(r_sq, inv_var, out=s.half_q)
@@ -199,8 +207,11 @@ def _eval(s, y, ybar, Z, r_sq, with_lp):
         terms -= half_q
         lp = (terms.sum(axis=1) - 0.5 * np.vecdot(s.u, s.u)).tolist()
 
-    _fill_g(s)
-    _ar1_rows(s, s.g, 1, s.g_edge, _fill_g)
+    def fill_g():                   # d logp / d h_t, direct term
+        np.subtract(half_q, 0.5, out=s.g)
+
+    fill_g()
+    _ar1_rows(s.g, s.band, 1, s.g_edge, fill_g)
     abar = s.g
 
     np.multiply(abar, s.sigma, out=s.grad_u)
@@ -248,12 +259,24 @@ def _eval(s, y, ybar, Z, r_sq, with_lp):
     return lp if with_lp else None
 
 
-def sv_logp_grad(theta, y, ybar, Z):
-    """Log posterior density and its gradient on the unconstrained scale."""
-    s = _Scratch(1, theta.shape[0], y.shape[0], Z.shape[1])
+def _scratch(cache, B, dim, T, k):
+    s = cache.get(B)
+    if s is None:
+        s = cache[B] = _Scratch(B, dim, T, k)
+    return s
+
+
+def sv_logp_grad(theta, y, ybar, Z, r_sq=None, cache=None):
+    """Log posterior density and its gradient on the unconstrained scale.
+    ``r_sq`` and ``cache`` are as for ``sv_trajectory``; without them the
+    call computes r_sq and allocates its own buffers."""
+    k = Z.shape[1]
+    s = _scratch({} if cache is None else cache, 1, theta.shape[0],
+                 y.shape[0], k)
     s.theta[0] = theta
-    r_sq = sq_resid(y, ybar) if Z.shape[1] == 0 else None
-    return _eval(s, y, ybar, Z, r_sq, True)[0], s.grad[0]
+    if r_sq is None and k == 0:
+        r_sq = sq_resid(y, ybar)
+    return _eval(s, y, ybar, Z, r_sq, True)[0], s.grad[0].copy()
 
 
 def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq,
@@ -270,10 +293,8 @@ def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq,
     keeps for one model, in which the kernel keeps its buffers between
     calls (so calls with one cache must not overlap).
     """
-    B = theta.shape[0]
-    s = cache.get(B)
-    if s is None:
-        s = cache[B] = _Scratch(B, theta.shape[1], y.shape[0], Z.shape[1])
+    s = _scratch(cache, theta.shape[0], theta.shape[1], y.shape[0],
+                 Z.shape[1])
     th, q, move = s.theta, s.p, s.move
     np.copyto(th, theta)
     eps = np.asarray(eps, dtype=np.float64)[:, None]
@@ -292,9 +313,7 @@ def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq,
 
 def sv_h_path(mu, phi, sigma, u):
     """Latent log-volatility path h for one parameter draw."""
-    u = np.asarray(u, dtype=np.float64)
-    h = np.multiply(u, sigma)
-    h[0] = sigma * u[0] / math.sqrt(1.0 - phi * phi)
-    h = _ar1(h, np.full((2, u.shape[0]), -phi, order="F"), 0)
-    h += mu
-    return h
+    u = np.asarray(u, dtype=np.float64)[None]
+    h = np.empty(u.shape)
+    return _h_from_u(u, sigma, math.sqrt(1.0 - phi * phi), mu, h, h[:, :1],
+                     h[:0, -1], np.full((2, u.shape[1]), -phi, order="F"))[0]

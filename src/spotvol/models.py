@@ -88,7 +88,8 @@ class BaselineSvModel:
     # -- sampler interface -------------------------------------------------
 
     def logp_grad(self, theta):
-        return kernels.sv_logp_grad(theta, self.y, self.ybar, self.design)
+        return kernels.sv_logp_grad(theta, self.y, self.ybar, self.design,
+                                    self.r_sq, self._kernel_cache)
 
     def trajectory(self, theta, p, grad, eps, n_steps, inv_mass):
         """n_steps leapfrog steps from each row of theta; see

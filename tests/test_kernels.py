@@ -147,12 +147,14 @@ def _reference(model, theta, p, eps, n_steps, inv_mass):
 
 def _rows(model, theta, p, eps, n_steps, inv_mass):
     """model.trajectory on a batch of one row; returns the row's (theta,
-    p, lp, grad) and the batch inputs."""
+    p, lp, grad), the batch inputs (theta, p, grad, inv_mass) and copies
+    of those inputs taken before the call."""
     grad = model.logp_grad(theta)[1]
     inputs = (theta[None], p[None], grad[None], inv_mass[None])
+    before = [a.copy() for a in inputs]
     out = model.trajectory(inputs[0], inputs[1], inputs[2], np.array([eps]),
                            n_steps, inputs[3])
-    return tuple(a[0] for a in out), inputs
+    return tuple(a[0] for a in out), inputs, before
 
 
 def _assert_trajectory_matches(model, theta, p, eps, n_steps, inv_mass):
@@ -160,12 +162,11 @@ def _assert_trajectory_matches(model, theta, p, eps, n_steps, inv_mass):
     inputs intact and returns no array that aliases one; returns the
     reference's per-step log densities and the trajectory's output."""
     (th, pp, lp, g), lps = _reference(model, theta, p, eps, n_steps, inv_mass)
-    before = [a.copy() for a in (theta, p, inv_mass)]
-    out, inputs = _rows(model, theta, p, eps, n_steps, inv_mass)
+    out, inputs, before = _rows(model, theta, p, eps, n_steps, inv_mass)
     for got, want in zip(out[:2] + out[3:], (th, pp, g)):
         assert got.tobytes() == want.tobytes()
     assert out[2] == lp
-    for arr, orig in zip((theta, p, inv_mass), before):
+    for arr, orig in zip(inputs, before):
         assert arr.tobytes() == orig.tobytes()
     for got in out[:2] + out[3:]:
         assert not any(np.shares_memory(got, a) for a in inputs)
