@@ -14,9 +14,9 @@ exactly as it would alone: the scalar parameters and the log-density
 tail are Python floats row by row, reductions are ``axis=1`` sums and
 stacked ``matmul``/``vecdot`` products, and the AR(1) forward and
 adjoint recursions are each one BLAS unit-bidiagonal solve (``dtbsv``)
-over the rows laid end to end, done in place on one band array. A
-trajectory allocates its scratch buffers once and writes them with
-``out=``. The kernel sets no floating-point error state of its own (the
+over the rows laid end to end, done in place on one band array. The
+scratch buffers are kept per model and row count, and each step writes
+them with ``out=``. The kernel sets no floating-point error state of its own (the
 sampler silences overflow once per fit).
 
 Parameter vector layout (unconstrained scale), with T latent days and a
