@@ -2,11 +2,16 @@
 rolling one-day-ahead forecasting, with a rank-sum comparison of the two
 model families.
 
-Fold tasks are independent and run one after another, each with its own
-RNG substreams, so a fold's result does not depend on the others. A fold
-that fails, whether with a spotvol error or a numeric one, is recorded
-and the run goes on (a full grid is 8 combinations x 36 folds of MCMC
-fits).
+Every CV fold and rolling refit is an independent fit with its own RNG
+substreams. The fits of one combination (its folds, or the refits of one
+rolling run: one model kind and one training length) run in lockstep
+groups through ``hmc.sample_fits``, every chain of a group a row of one
+kernel call per leapfrog step, because most of a step at these sizes is
+the fixed cost of its numpy calls. A fit's draws do not depend on its
+group, so each fold equals a direct ``sample`` and ``forecast`` on its
+window. A fold that fails, whether with a spotvol error or a numeric
+one, is recorded and the run goes on (a full grid is 8 combinations x 36
+folds of MCMC fits).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientFutureData, LengthMismatch, SpotvolError
-from .hmc import SamplerConfig, sample
+from .hmc import SamplerConfig, sample_fits
 from .models import BaselineSvModel, build_model
 from .predictive import ForecastSet, PpdMode, VolMode, forecast
 from .series import ExogenousFrame, FoldPlan, PriceSeries
@@ -51,7 +56,10 @@ class MetricReport:
     hour: int | None = None
     zone: int | None = None
     fold_id: int | None = None
-    max_rhat: float | None = None     # of the fit behind a fold's forecast
+    # convergence of the fit behind a fold's forecast
+    max_rhat: float | None = None
+    min_ess: float | None = None
+    divergences: int | None = None
 
     def __post_init__(self):
         if self.mae < 0 or self.rmse < 0:
@@ -118,8 +126,8 @@ class CvSummary:
 @dataclass
 class BacktestConfig:
     """Sampler and forecast settings of every fold fit; ``max_workers`` is
-    accepted and ignored (folds run serially) so that existing configs keep
-    loading."""
+    accepted and ignored (fold fits run in lockstep in one thread) so that
+    existing configs keep loading."""
 
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     n_draws: int = 1000
@@ -136,6 +144,11 @@ class BacktestConfig:
 # np.linalg.LinAlgError, ArithmeticError covers FloatingPointError
 _FOLD_ERRORS = (SpotvolError, ArithmeticError, ValueError)
 
+# the most chains (rows) of one lockstep group, which bounds the kept
+# draws held at once; a row's step cost stops falling by about here (the
+# B-scan in BENCH_18.json)
+_MAX_ROWS = 16
+
 
 def _seed_pairs(seed: int, n: int) -> list:
     """`n` (fit seed, forecast seed) pairs, each from its own substream."""
@@ -144,27 +157,60 @@ def _seed_pairs(seed: int, n: int) -> list:
              int(ss[2 * i + 1].generate_state(1)[0])) for i in range(n)]
 
 
-def _fit_forecast(combo: CvCombination, lo: int, hi: int, horizon: int,
-                  cfg: BacktestConfig, fit_seed: int,
-                  fc_seed: int) -> tuple:
-    """Fit the combination's family on days lo..hi (inclusive) and forecast
-    the `horizon` days after hi; returns the ForecastSet and the fit's max
-    R-hat."""
-    fit = sample(combo.model(lo, hi), cfg.sampler, fit_seed)
+def _attempt(fn, *args):
+    """fn(*args), or the _FOLD_ERRORS exception it raised."""
+    try:
+        return fn(*args)
+    except _FOLD_ERRORS as exc:
+        return exc
+
+
+def _forecast(combo: CvCombination, fit, hi: int, horizon: int,
+              cfg: BacktestConfig, seed: int) -> tuple:
+    """The fit's forecast of the `horizon` days after day hi, and the
+    fit's convergence figures."""
     fc = forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
                   vol_mode=cfg.vol_mode,
-                  exog_future=combo.future_exog(hi, horizon), seed=fc_seed)
-    return fc, fit.diagnostics["max_rhat"]
+                  exog_future=combo.future_exog(hi, horizon), seed=seed)
+    diag = fit.diagnostics
+    return fc, {"max_rhat": diag["max_rhat"],
+                "min_ess": min(diag["ess"].values(), default=None),
+                "divergences": diag["divergences"]}
+
+
+def _fit_forecasts(combo: CvCombination, windows: list, cfg: BacktestConfig,
+                   seed_pairs: list):
+    """Fit the combination's family on each (lo, hi, horizon) window, days
+    lo..hi inclusive, with its (fit seed, forecast seed) pair, and forecast
+    the `horizon` days after hi.
+
+    The fits run in lockstep groups of at most ``_MAX_ROWS`` chains.
+    Yields per window, in order, (ForecastSet, convergence figures) or the
+    _FOLD_ERRORS exception that failed it.
+    """
+    size = max(1, _MAX_ROWS // cfg.sampler.n_chains)
+    for g in range(0, len(windows), size):
+        group = list(zip(windows[g:g + size], seed_pairs[g:g + size]))
+        models = [_attempt(combo.model, lo, hi) for (lo, hi, _), _ in group]
+        built = [i for i, m in enumerate(models)
+                 if not isinstance(m, Exception)]
+        fits = dict(zip(built, sample_fits(
+            [models[i] for i in built], cfg.sampler,
+            [group[i][1][0] for i in built], _FOLD_ERRORS))) if built else {}
+        for i, ((_, hi, horizon), (_, fc_seed)) in enumerate(group):
+            fit = fits.pop(i, models[i])
+            yield fit if isinstance(fit, Exception) else _attempt(
+                _forecast, combo, fit, hi, horizon, cfg, fc_seed)
 
 
 def _report(combo: CvCombination, start: int, mean,
-            fold_id: int | None = None,
-            max_rhat: float | None = None) -> MetricReport:
+            fold_id: int | None = None, stats: dict | None = None
+            ) -> MetricReport:
     """Score forecast means against the days from `start` on."""
     actual = combo.series.values[start:start + len(mean)]
     return MetricReport(mae=mae(actual, mean), rmse=rmse(actual, mean),
                         n=len(mean), model_id=combo.model_id, hour=combo.hour,
-                        zone=combo.zone, fold_id=fold_id, max_rhat=max_rhat)
+                        zone=combo.zone, fold_id=fold_id, **(stats or {}))
 
 
 def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
@@ -181,28 +227,32 @@ def cross_validate(combos: list, plan: FoldPlan, cfg: BacktestConfig,
             raise SpotvolError(
                 f"{combo.model_id}: series shorter than the fold plan span")
 
-    tasks = [(combo, fi) for combo in combos for fi in range(len(plan))]
+    pairs = _seed_pairs(seed, len(combos) * len(plan))
     reports = {c.model_id: [] for c in combos}
     failures = {c.model_id: [] for c in combos}
-    for (combo, fi), (fit_seed, fc_seed) in zip(
-            tasks, _seed_pairs(seed, len(tasks))):
-        a, b, c, d = plan.folds[fi]
-        try:
-            if c != b + 1:
-                raise SpotvolError(
+    for ci, combo in enumerate(combos):
+        outcomes, folds = {}, []
+        for fi, (a, b, c, d) in enumerate(plan.folds):
+            if c == b + 1:
+                folds.append((fi, (a, b, d - c + 1)))
+            else:
+                outcomes[fi] = SpotvolError(
                     f"test window starts on day {c}, not the day after the "
                     f"train window ends ({b})")
-            fc, max_rhat = _fit_forecast(combo, a, b, d - c + 1, cfg,
-                                         fit_seed, fc_seed)
-            rep = _report(combo, c, fc.mean, fi, max_rhat)
+        results = _fit_forecasts(
+            combo, [window for _, window in folds], cfg,
+            [pairs[ci * len(plan) + fi] for fi, _ in folds])
+        for (fi, (_, hi, _)), out in zip(folds, results):
             # only the means outlive the fold, so no fold's draws reach
-            # the next fold's peak memory
-            del fc
-        except _FOLD_ERRORS as exc:
-            failures[combo.model_id].append(
-                (fi, f"{type(exc).__name__}: {exc}"))
-        else:
-            reports[combo.model_id].append(rep)
+            # the next group's peak memory
+            outcomes[fi] = out if isinstance(out, Exception) else _attempt(
+                _report, combo, hi + 1, out[0].mean, fi, out[1])
+        for fi, out in sorted(outcomes.items()):
+            if isinstance(out, Exception):
+                failures[combo.model_id].append(
+                    (fi, f"{type(out).__name__}: {out}"))
+            else:
+                reports[combo.model_id].append(out)
 
     aggregates = {
         mid: {"mae": float(np.mean([r.mae for r in reps])) if reps else None,
@@ -236,14 +286,18 @@ class RollingResult:
     forecast: ForecastSet
     report: MetricReport
     train_ranges: list                # [(start_date, end_date)] per refit
-    max_rhat: list                    # the max R-hat of each refit's fit
+    # the convergence of each refit's fit
+    max_rhat: list
+    min_ess: list
+    divergences: list
 
 
 def rolling_forecast(combo: CvCombination, first_train: tuple,
                      horizon_days: int, cfg: BacktestConfig,
                      seed: int) -> RollingResult:
     """Day-ahead loop: fit on the training window, predict one day, slide
-    the window forward one day; repeat `horizon_days` times.
+    the window forward one day; repeat `horizon_days` times. The refits
+    run in lockstep groups; the first that fails raises its error.
 
     `first_train` is an inclusive (start, end) date pair resolved against
     the combination's series; the series must extend `horizon_days` past
@@ -258,14 +312,21 @@ def rolling_forecast(combo: CvCombination, first_train: tuple,
         raise InsufficientFutureData(
             f"series ends {dates[-1]}, need {horizon_days} days past {dates[b]}")
 
-    refits = [_fit_forecast(combo, a + j, b + j, 1, cfg, *seeds)
-              for j, seeds in enumerate(_seed_pairs(seed, horizon_days))]
+    refits = list(_fit_forecasts(
+        combo, [(a + j, b + j, 1) for j in range(horizon_days)], cfg,
+        _seed_pairs(seed, horizon_days)))
+    for out in refits:
+        if isinstance(out, Exception):
+            raise out
+    fcs, stats = zip(*refits)
     fcset = ForecastSet.from_draws(
-        np.column_stack([fc.draws[:, 0] for fc, _ in refits]),
-        np.column_stack([fc.vol_draws[:, 0] for fc, _ in refits]),
+        np.column_stack([fc.draws[:, 0] for fc in fcs]),
+        np.column_stack([fc.vol_draws[:, 0] for fc in fcs]),
         cfg.mode, cfg.vol_mode, dates[b + 1: b + 1 + horizon_days])
     return RollingResult(
         forecast=fcset, report=_report(combo, b + 1, fcset.mean),
         train_ranges=[(dates[a + j], dates[b + j])
                       for j in range(horizon_days)],
-        max_rhat=[max_rhat for _, max_rhat in refits])
+        max_rhat=[st["max_rhat"] for st in stats],
+        min_ess=[st["min_ess"] for st in stats],
+        divergences=[st["divergences"] for st in stats])

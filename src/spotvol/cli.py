@@ -210,9 +210,10 @@ def cmd_cv(cfg: RunConfig) -> int:
 
     write_json(outdir / "cv_summary.json", summary.to_json_dict())
     write_csv(outdir / "cv_folds.csv",
-              ["model_id", "fold_id", "mae", "rmse", "n", "max_rhat"],
+              ["model_id", "fold_id", "mae", "rmse", "n", "max_rhat",
+               "min_ess", "divergences"],
               ([mid, r.fold_id, repr(r.mae), repr(r.rmse), r.n,
-                repr(r.max_rhat)]
+                repr(r.max_rhat), repr(r.min_ess), r.divergences]
                for mid in sorted(summary.reports)
                for r in summary.reports[mid]))
     _write_manifest(cfg, "cv", outdir)

@@ -5,8 +5,11 @@ jitter, dual-averaging step-size adaptation toward a target acceptance
 rate, and windowed diagonal mass-matrix estimation during warmup. The
 chains of a fit run in lockstep in the calling thread: each iteration
 moves all of them with one trajectory call, their positions the rows of
-one array. Each chain owns an independent RNG substream, step size,
-metric and output slot, so its draws do not depend on the other chains.
+one array. ``sample_fits`` runs the chains of several fits of one model
+kind and length in the same way, each fit's chains contiguous rows of
+one call, and ``sample`` is its one-fit call. Each chain owns an
+independent RNG substream, step size, metric and output slot, so its
+draws do not depend on the other chains or fits.
 
 The model integrates: ``model.trajectory(theta, p, grad, eps, n_steps,
 inv_mass) -> (theta, p, lp, grad)`` runs n_steps leapfrog steps from
@@ -23,6 +26,7 @@ are two loops over ``transition``. The state never leaves this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +34,7 @@ import numpy as np
 
 from .diagnostics import ess, split_rhat
 from .errors import DivergentChains, InvalidConfig, NonFiniteLogp
+from .models import ModelRows
 from .posterior import PosteriorFit, summarize_draws
 
 DIVERGENCE_ENERGY = 1000.0
@@ -127,10 +132,11 @@ def _trajectory(model, states, p, eps, n_steps):
 
 def transition(model, states, eps, n_steps):
     """One HMC transition of n_steps jittered leapfrog steps for every
-    chain, with eps its step sizes; an accepted proposal replaces that
-    chain's position. Each chain draws its jitter and momentum from its own
-    RNG before the one trajectory call. Returns (accept_prob, divergent)
-    per chain; a divergent transition draws no accept uniform."""
+    chain, with eps its step sizes; ``model`` is the chains' model, or
+    the ``ModelRows`` of their fits' models. An accepted proposal replaces
+    that chain's position. Each chain draws its jitter and momentum from
+    its own RNG before the one trajectory call. Returns (accept_prob,
+    divergent) per chain; a divergent transition draws no accept uniform."""
     eps = [e * (1.0 + STEP_JITTER * (2.0 * st.rng.random() - 1.0))
            for e, st in zip(eps, states)]
     p0 = np.array([st.rng.standard_normal(len(st.theta)) / np.sqrt(st.inv_mass)
@@ -178,16 +184,23 @@ def _adaptation_schedule(warmup):
     return ends[1:]
 
 
-def _run_chains(model, cfg: SamplerConfig, seeds):
-    """Warm up and sample every chain in lockstep; returns the kept draws
-    (chains, draws, params) and each chain's statistics."""
-    states = [init_chain(model, s) for s in seeds]
+def _run_chains(models, cfg: SamplerConfig, seeds):
+    """Warm up and sample every chain of every model in lockstep, the
+    chains of ``models[i]`` running from the seed sequences ``seeds[i]``;
+    returns per model its kept draws (chains, draws, params) and its
+    chains' statistics. Row r of each trajectory call is chain r % n of
+    model r // n, with n = ``cfg.n_chains``."""
+    n = cfg.n_chains
+    row_models = [model for model in models for _ in range(n)]
+    states = [init_chain(model, s)
+              for model, s in zip(row_models, itertools.chain(*seeds))]
     das = [_DualAveraging(_find_initial_step(model, st), cfg.target_accept)
-           for st in states]
+           for model, st in zip(row_models, states)]
+    rows = models[0] if len(models) == 1 else ModelRows(models, n)
     window_ends = _adaptation_schedule(cfg.warmup)  # non-empty: warmup >= 200
     windows = [[] for _ in states]
     for m in range(1, cfg.warmup + 1):
-        steps = transition(model, states, [math.exp(da.log_eps) for da in das],
+        steps = transition(rows, states, [math.exp(da.log_eps) for da in das],
                            cfg.leapfrog_steps)
         for da, (aprob, _) in zip(das, steps):
             da.update(aprob)
@@ -196,41 +209,31 @@ def _run_chains(model, cfg: SamplerConfig, seeds):
             for window, st in zip(windows, states):
                 window.append(st.theta)  # transition replaces, never mutates
         if m in window_ends:
-            for c, (window, st) in enumerate(zip(windows, states)):
-                n = len(window)
+            for r, (window, st) in enumerate(zip(windows, states)):
+                k = len(window)
                 var = np.asarray(window).var(axis=0, ddof=1)
-                st.inv_mass = n / (n + 5.0) * var + 1e-3 * (5.0 / (n + 5.0))
-                das[c] = _DualAveraging(_find_initial_step(model, st),
+                st.inv_mass = k / (k + 5.0) * var + 1e-3 * (5.0 / (k + 5.0))
+                das[r] = _DualAveraging(_find_initial_step(row_models[r], st),
                                         cfg.target_accept)
             windows = [[] for _ in states]
 
     eps = [math.exp(da.log_eps_bar) for da in das]
-    kept = np.empty((len(states), cfg.draws, len(model.param_names)))
+    kept = [np.empty((n, cfg.draws, len(model.param_names)))
+            for model in models]
     divergences, accept_sum = [0] * len(states), [0.0] * len(states)
     for i in range(cfg.draws):
-        steps = transition(model, states, eps, cfg.leapfrog_steps)
-        for c, (st, (aprob, divergent)) in enumerate(zip(states, steps)):
-            divergences[c] += divergent
-            accept_sum[c] += aprob
-            kept[c, i] = model.transform(st.theta)
-    return kept, [{"step_size": e, "mean_accept": a / cfg.draws,
-                   "divergences": d}
-                  for e, a, d in zip(eps, accept_sum, divergences)]
+        steps = transition(rows, states, eps, cfg.leapfrog_steps)
+        for r, (st, (aprob, divergent)) in enumerate(zip(states, steps)):
+            divergences[r] += divergent
+            accept_sum[r] += aprob
+            kept[r // n][r % n, i] = row_models[r].transform(st.theta)
+    stats = [{"step_size": e, "mean_accept": a / cfg.draws, "divergences": d}
+             for e, a, d in zip(eps, accept_sum, divergences)]
+    return [(k, stats[i * n:(i + 1) * n]) for i, k in enumerate(kept)]
 
 
-def sample(model, cfg: SamplerConfig, seed: int) -> PosteriorFit:
-    """Run HMC chains and assemble a PosteriorFit.
-
-    Deterministic for fixed (model, cfg, seed): every chain owns a spawned
-    RNG substream and a fixed output slot, so chain i's draws are the same
-    in a fit of any number of chains above i.
-    """
-    cfg.validate()
-    seeds = np.random.SeedSequence(seed).spawn(cfg.n_chains)
-    # far-tail proposals overflow exp() in the kernel; the sampler rejects
-    # them as divergent, so the warnings would carry no information
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_chain, chain_stats = _run_chains(model, cfg, seeds)
+def _assemble(model, cfg: SamplerConfig, per_chain, chain_stats):
+    """A fit's PosteriorFit from its kept draws and chain statistics."""
     draws = per_chain.reshape(-1, per_chain.shape[2])
 
     rhat, zero_var = split_rhat(per_chain)
@@ -269,6 +272,54 @@ def sample(model, cfg: SamplerConfig, seed: int) -> PosteriorFit:
         train_summary=model.train_summary() if hasattr(model, "train_summary") else {},
         model_family=getattr(model, "kind", ""),
     )
+
+
+def sample_fits(models, cfg: SamplerConfig, seeds, errors=()) -> list:
+    """Run the HMC chains of one fit per model, all in lockstep, and
+    assemble a PosteriorFit for each; ``seeds[i]`` is model i's seed.
+    Several models must be SV models of one kind and length (their
+    chains' rows read stacked data, see ``models.ModelRows``).
+
+    An exception of a type in ``errors`` fails only the fit that raised
+    it and takes its place in the returned list: one raised in the
+    lockstep loop, which cannot tell the fits apart, reruns each fit
+    alone. Any other exception propagates. A fit's draws do not depend on
+    the other fits, so a rerun gives the same fits.
+    """
+    cfg.validate()
+    chain_seeds = [np.random.SeedSequence(s).spawn(cfg.n_chains)
+                   for s in seeds]
+    try:
+        # far-tail proposals overflow exp() in the kernel; the sampler
+        # rejects them as divergent, so the warnings would carry no
+        # information
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = _run_chains(models, cfg, chain_seeds)
+    except errors as exc:
+        if len(models) == 1:
+            return [exc]
+        return [fit for model, seed in zip(models, seeds)
+                for fit in sample_fits([model], cfg, [seed], errors)]
+    fits = []
+    for model, (per_chain, chain_stats) in zip(models, runs):
+        try:
+            fits.append(_assemble(model, cfg, per_chain, chain_stats))
+        except errors as exc:
+            fits.append(exc)
+    return fits
+
+
+def sample(model, cfg: SamplerConfig, seed: int) -> PosteriorFit:
+    """Run HMC chains and assemble a PosteriorFit: the one-fit call of
+    ``sample_fits``.
+
+    Deterministic for fixed (model, cfg, seed): every chain owns a spawned
+    RNG substream and a fixed output slot, so chain i's draws are the same
+    in a fit of any number of chains above i, and in a fit run beside any
+    others.
+    """
+    [fit] = sample_fits([model], cfg, [seed])
+    return fit
 
 
 def rhat(chains) -> np.ndarray:

@@ -5,14 +5,18 @@ This is the hot path. The sampler's one leapfrog integrator lives here
 thousands of times per fit, but only a trajectory's end point needs the
 log density, so interior steps skip the terms that feed it alone. One
 body (``_eval``) holds the density and gradient arithmetic, over B rows
-at once: the integrator moves all chains of a fit as the rows of one
-(B, dim) array, and the one-point ``sv_logp_grad`` is its B = 1 call.
+at once: the integrator moves all chains of a fit, or of several fits of
+one model kind and length, as the rows of one (B, dim) array, and the
+one-point ``sv_logp_grad`` is its B = 1 call. The data (y, its squared
+residual, ybar and the design) are one model's, shared by every row, or
+per row: (B, T), (B, T), (B, 1) and (B, T, k).
 
 Most of a step at the model's usual sizes is the fixed cost of its numpy
 and BLAS calls, which B rows pay once instead of B times. Each row rounds
 exactly as it would alone: the scalar parameters and the log-density
 tail are Python floats row by row, reductions are ``axis=1`` sums and
-stacked ``matmul``/``vecdot`` products, and the AR(1) forward and
+stacked ``matmul``/``vecdot`` products (one per row, whether the design
+is shared or per row), and the AR(1) forward and
 adjoint recursions are each one BLAS unit-bidiagonal solve (``dtbsv``)
 over the rows laid end to end, done in place on one band array. The
 scratch buffers are kept per model and row count, and each step writes
@@ -169,9 +173,10 @@ def _eval(s, y, ybar, Z, r_sq, with_lp):
     ``with_lp`` is false: the terms that feed only the density are then
     skipped. A row with saturated phi or non-finite sigma gets -inf and a
     zero gradient; it runs through the arithmetic with phi = 0 and
-    sigma = 1, so that it raises no error of its own. ``r_sq`` is
+    sigma = 1, so that it raises no error of its own. The data are one
+    model's or per row (see the module docstring); ``r_sq`` is
     ``sq_resid(y, ybar)`` when Z has no columns and unused otherwise."""
-    k = Z.shape[1]
+    k = Z.shape[-1]
 
     # the scalar head, row by row in Python floats: np.tanh rounds
     # differently from math.tanh
@@ -242,7 +247,7 @@ def _eval(s, y, ybar, Z, r_sq, with_lp):
     if k > 0:
         e = r                       # d logp / d mean_t
         e *= inv_var
-        np.subtract(np.matmul(Z.T, s.r3)[:, :, 0], s.w / 100.0,
+        np.subtract(np.matmul(Z.mT, s.r3)[:, :, 0], s.w / 100.0,
                     out=s.grad_w)
         xi = s.xi[:, 0].tolist()
         s.grad_xi[:] = [e_sum - x / 100.0
@@ -289,12 +294,12 @@ def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq,
     each row moves with its own step size and metric, and its result does
     not depend on the other rows. Only the last step computes the log
     density. The inputs are left intact and no output aliases them.
-    ``r_sq`` is as for ``_eval``; ``cache`` is a dict that the caller
-    keeps for one model, in which the kernel keeps its buffers between
-    calls (so calls with one cache must not overlap).
+    y, ybar, Z and ``r_sq`` are as for ``_eval``; ``cache`` is a dict
+    that the caller keeps for one set of data, in which the kernel keeps
+    its buffers between calls (so calls with one cache must not overlap).
     """
-    s = _scratch(cache, theta.shape[0], theta.shape[1], y.shape[0],
-                 Z.shape[1])
+    s = _scratch(cache, theta.shape[0], theta.shape[1], y.shape[-1],
+                 Z.shape[-1])
     th, q, move = s.theta, s.p, s.move
     np.copyto(th, theta)
     eps = np.asarray(eps, dtype=np.float64)[:, None]

@@ -10,7 +10,9 @@ sampling scale to the constrained reporting scale.
 The sampler sees a model through ``initial_position``, ``logp_grad`` (once
 per chain, at its start), ``trajectory`` (every leapfrog trajectory of
 all chains at once, one chain per row, run by the kernel's integrator) and
-``transform``.
+``transform``. ``ModelRows`` stacks the data of several models of one kind
+and length, so that one ``trajectory`` call moves the chains of all their
+fits.
 """
 
 from __future__ import annotations
@@ -157,6 +159,29 @@ class SvxModel(BaselineSvModel):
         d = super().train_summary()
         d["standardizer"] = self.standardizer.to_dict()
         return d
+
+
+class ModelRows:
+    """The data of several models of one kind and length as the rows of
+    one trajectory: ``models[i]``'s data fill ``rows`` consecutive rows
+    (the chains of its fit), and each row reads its own model's data.
+    Like a model, it keeps the kernel's buffers between calls."""
+
+    def __init__(self, models, rows: int):
+        if len({(m.kind, m.T, m.dim) for m in models}) != 1:
+            raise TypeError("rows must come from models of one kind and length")
+
+        def stack(arrays):
+            return np.repeat(np.stack(arrays), rows, axis=0)
+
+        self.y = stack([m.y for m in models])
+        self.r_sq = stack([m.r_sq for m in models])
+        self.ybar = stack([[m.ybar] for m in models])
+        self.design = stack([m.design for m in models])
+        self._kernel_cache = {}
+
+    # a model's own call, which reads the stacked data through self
+    trajectory = BaselineSvModel.trajectory
 
 
 def build_model(family: str, y: PriceSeries,

@@ -67,6 +67,21 @@ def fast_sampler(**overrides) -> SamplerConfig:
     return SamplerConfig(**kwargs)
 
 
+def per_fit(sample):
+    """A fake of ``hmc.sample``, one fit per call, as a fake of
+    ``hmc.sample_fits``: each model's entry is ``sample(model, cfg,
+    seed)``, or the exception of a type in ``errors`` that it raised."""
+    def sample_fits(models, cfg, seeds, errors=()):
+        out = []
+        for model, seed in zip(models, seeds):
+            try:
+                out.append(sample(model, cfg, seed))
+            except errors as exc:
+                out.append(exc)
+        return out
+    return sample_fits
+
+
 def degenerate_fit(model, mu=-1.0, phi=0.9, sigma=0.3, h=None, n_draws=50,
                    coeffs=None):
     """PosteriorFit whose draws all equal one parameter point."""

@@ -158,7 +158,7 @@ def test_cross_validate_isolates_numeric_fold_errors(monkeypatch):
     # the svx fits raise the numeric errors an MCMC fit can hit; each fold
     # is recorded as a typed failure and the baseline folds still report
     import spotvol.backtest as bt
-    from tests.conftest import degenerate_fit
+    from tests.conftest import degenerate_fit, per_fit
 
     _, _, truth = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
                                        n_days=121, mean_price=1000.0, seed=4))
@@ -176,7 +176,7 @@ def test_cross_validate_isolates_numeric_fold_errors(monkeypatch):
             raise errors[fold]
         return degenerate_fit(model)
 
-    monkeypatch.setattr(bt, "sample", flaky_sample)
+    monkeypatch.setattr(bt, "sample_fits", per_fit(flaky_sample))
     combos = [CvCombination("baseline", 14, 1, y, exog=frame),
               CvCombination("svx", 14, 1, y, exog=frame)]
     cfg = BacktestConfig(sampler=fast_sampler(), n_draws=50)
@@ -195,7 +195,7 @@ def test_cross_validate_isolates_numeric_fold_errors(monkeypatch):
     def broken_sample(model, cfg, seed):
         raise TypeError("bad call")
 
-    monkeypatch.setattr(bt, "sample", broken_sample)
+    monkeypatch.setattr(bt, "sample_fits", per_fit(broken_sample))
     with pytest.raises(TypeError):
         cross_validate(combos, plan, cfg, seed=6)
 
@@ -206,11 +206,12 @@ def test_cross_validate_rejects_fold_gap(monkeypatch):
     # them against days c..d would compare different days
     import spotvol.backtest as bt
     from spotvol.series import FoldPlan
+    from tests.conftest import per_fit
 
     def no_sample(model, cfg, seed):
         raise AssertionError("a gapped fold must not be fitted")
 
-    monkeypatch.setattr(bt, "sample", no_sample)
+    monkeypatch.setattr(bt, "sample_fits", per_fit(no_sample))
     truth, y, frame = _cv_material(n_days=80, seed=5)
     plan = FoldPlan(((0, 59, 65, 74),), 60, 10)
     combos = [CvCombination("baseline", 14, 1, y, exog=frame),
@@ -222,6 +223,101 @@ def test_cross_validate_rejects_fold_gap(monkeypatch):
         [(fold_id, msg)] = summary.failures[combo.model_id]
         assert fold_id == 0
         assert msg.startswith("SpotvolError: test window starts on day 65")
+
+
+def _direct(family, y, frame, lo, hi, horizon, cfg, fit_seed, fc_seed):
+    """A fit on days lo..hi and its forecast of the `horizon` days after,
+    made directly with ``sample`` and ``forecast``: what a CV fold on that
+    window must equal."""
+    from spotvol import BaselineSvModel, SvxModel, forecast, sample
+
+    if family == "svx":
+        model = SvxModel(y.window(lo, hi + 1), frame.window(lo, hi + 1))
+        exog = frame.window(hi + 1, hi + 1 + horizon)
+    else:
+        model, exog = BaselineSvModel(y.window(lo, hi + 1)), None
+    fit = sample(model, cfg.sampler, fit_seed)
+    fc = forecast(fit, horizon, n_draws=cfg.n_draws, mode=cfg.mode,
+                  vol_mode=cfg.vol_mode, exog_future=exog, seed=fc_seed)
+    return fit, fc
+
+
+def _assert_fold_is_direct(rep, family, y, frame, fold, cfg, seeds):
+    a, b, c, d = fold
+    fit, fc = _direct(family, y, frame, a, b, d - c + 1, cfg, *seeds)
+    actual = y.values[c:d + 1]
+    assert rep.mae == mae(actual, fc.mean)
+    assert rep.rmse == rmse(actual, fc.mean)
+    assert rep.max_rhat == fit.diagnostics["max_rhat"]
+    assert rep.min_ess == min(fit.diagnostics["ess"].values())
+    assert rep.divergences == fit.diagnostics["divergences"]
+
+
+def _three_fold_material():
+    _, _, truth = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
+                                       n_days=121, mean_price=1000.0, seed=4))
+    frame = ExogenousFrame.from_daily(truth.daily_prices, truth.daily_temps)
+    y = truth.daily_prices.window(1, 121)
+    plan = build_folds(len(y), 60, 20)
+    assert len(plan) == 3
+    return y, frame, plan
+
+
+def _fold_seeds(seed, n):
+    ss = np.random.SeedSequence(seed).spawn(2 * n)
+    return [(int(ss[2 * i].generate_state(1)[0]),
+             int(ss[2 * i + 1].generate_state(1)[0])) for i in range(n)]
+
+
+def test_cross_validate_folds_equal_direct_fits():
+    # the folds of a combination run as rows of one lockstep loop; each
+    # must still equal a direct fit and forecast on its window with its
+    # own pair of seeds, bit for bit
+    y, frame, plan = _three_fold_material()
+    combos = [CvCombination("baseline", 14, 1, y, exog=frame),
+              CvCombination("svx", 14, 1, y, exog=frame)]
+    cfg = BacktestConfig(sampler=fast_sampler(), n_draws=100)
+    summary = cross_validate(combos, plan, cfg, seed=12)
+    seeds = _fold_seeds(12, len(combos) * len(plan))
+    for ci, combo in enumerate(combos):
+        assert not summary.failures[combo.model_id]
+        reports = summary.reports[combo.model_id]
+        assert [r.fold_id for r in reports] == [0, 1, 2]
+        for fi, rep in enumerate(reports):
+            _assert_fold_is_direct(rep, combo.family, y, frame,
+                                   plan.folds[fi], cfg,
+                                   seeds[ci * len(plan) + fi])
+
+
+def test_cross_validate_failed_fit_fails_only_its_fold(monkeypatch):
+    # fold 1's fit cannot start (a non-finite log density at every
+    # chain's initial position): that fold alone is a NonFiniteLogp
+    # failure, and the folds beside it in its lockstep group still equal
+    # their direct fits
+    from spotvol import BaselineSvModel
+
+    y, frame, plan = _three_fold_material()
+    start = BaselineSvModel.initial_position
+
+    def initial_position(model, rng):
+        theta = start(model, rng)
+        if model.dates[0] == y.dates[plan.folds[1][0]]:
+            theta[:] = np.nan
+        return theta
+
+    monkeypatch.setattr(BaselineSvModel, "initial_position",
+                        initial_position)
+    combo = CvCombination("svx", 14, 1, y, exog=frame)
+    cfg = BacktestConfig(sampler=fast_sampler(), n_draws=100)
+    summary = cross_validate([combo], plan, cfg, seed=13)
+    assert summary.failures[combo.model_id] == [
+        (1, "NonFiniteLogp: log density not finite at the initial position")]
+    seeds = _fold_seeds(13, len(plan))
+    reports = summary.reports[combo.model_id]
+    assert [r.fold_id for r in reports] == [0, 2]
+    for rep in reports:
+        _assert_fold_is_direct(rep, "svx", y, frame, plan.folds[rep.fold_id],
+                               cfg, seeds[rep.fold_id])
 
 
 def test_cross_validate_max_workers_is_ignored():
@@ -286,6 +382,8 @@ def test_rolling_forecast_bookkeeping():
     assert res.report.n == 3
     assert len(res.train_ranges) == 3
     assert len(res.max_rhat) == 3 and min(res.max_rhat) >= 1.0
+    assert len(res.min_ess) == 3 and min(res.min_ess) > 0.0
+    assert len(res.divergences) == 3 and min(res.divergences) >= 0
     one_day = np.timedelta64(1, "D")
     for prev, nxt in zip(res.train_ranges, res.train_ranges[1:]):
         assert nxt[0] - prev[0] == one_day
@@ -356,10 +454,10 @@ def test_rolling_forecast_string_modes_serialize(monkeypatch):
     # the config file hands the modes over as strings; the rolling
     # forecast set must still serialize them
     import spotvol.backtest as bt
-    from tests.conftest import degenerate_fit
+    from tests.conftest import degenerate_fit, per_fit
 
-    monkeypatch.setattr(bt, "sample",
-                        lambda model, cfg, seed: degenerate_fit(model))
+    monkeypatch.setattr(bt, "sample_fits",
+                        per_fit(lambda model, cfg, seed: degenerate_fit(model)))
     truth, y, frame = _cv_material(n_days=80, seed=5)
     combo = CvCombination("baseline", hour=14, zone=1, series=y, exog=frame)
     cfg = BacktestConfig(sampler=fast_sampler(), n_draws=100, mode="point",

@@ -213,13 +213,16 @@ def test_cv_single_fold(workspace):
     assert agg["svx-h14-z1"]["mae"] < agg["baseline-h14-z1"]["mae"]
     folds_csv = (out / "cv_folds.csv").read_text().strip().splitlines()
     assert len(folds_csv) == 1 + 4  # header + 2 combos x 2 folds
-    assert folds_csv[0] == "model_id,fold_id,mae,rmse,n,max_rhat"
-    # each fold's fit's max R-hat, in the CSV and in the summary
+    assert folds_csv[0] \
+        == "model_id,fold_id,mae,rmse,n,max_rhat,min_ess,divergences"
+    # each fold's fit's max R-hat, minimum ESS and divergences, in the CSV
+    # and in the summary
     rows = [line.split(",") for line in folds_csv[1:]]
-    assert [float(r[-1]) for r in rows] == [
-        rep["max_rhat"] for mid in sorted(doc["reports"])
-        for rep in doc["reports"][mid]]
-    assert all(float(r[-1]) >= 1.0 for r in rows)
+    reps = [rep for mid in sorted(doc["reports"])
+            for rep in doc["reports"][mid]]
+    assert [(float(r[5]), float(r[6]), int(r[7])) for r in rows] == [
+        (rep["max_rhat"], rep["min_ess"], rep["divergences"]) for rep in reps]
+    assert all(float(r[5]) >= 1.0 and float(r[6]) > 0.0 for r in rows)
 
 
 def test_diagnose_with_fit(workspace):

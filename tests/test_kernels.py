@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from spotvol import BaselineSvModel, SvxModel, kernels
+from spotvol.models import ModelRows
 from tests.conftest import leapfrog
 
 
@@ -243,33 +244,66 @@ def _row_kinds(model):
     return kinds
 
 
+@pytest.fixture(scope="module")
+def later_models(baseline_truth, svx_y, svx_frame):
+    """The models of ``models`` on the 60 days from day 7."""
+    return {"baseline": BaselineSvModel(baseline_truth.daily_prices.window(7, 67)),
+            "svx": SvxModel(svx_y.window(7, 67), svx_frame.window(7, 67))}
+
+
 @pytest.mark.parametrize("family", ["baseline", "svx"])
-def test_trajectory_rows_independent(models, family):
-    """Each row of a batched trajectory equals its call alone bit for bit,
-    in every order of finite, saturated and non-finite rows: the AR(1)
-    solve over the rows laid end to end must not carry a non-finite value
-    from one row into the next. The saturated row must raise no divide
-    warning (pytest turns spotvol's RuntimeWarnings into errors)."""
-    model = models[family]
-    kinds = _row_kinds(model)
-    grads = {n: model.logp_grad(k[0])[1] for n, k in kinds.items()}
+def test_trajectory_rows_independent(models, later_models, family):
+    """Each row of a batched trajectory equals its own model's call alone
+    bit for bit, in every order of finite, saturated and non-finite rows,
+    whether the rows share one model's data (``model.trajectory``) or each
+    reads its own model's (``ModelRows``, here over two windows of one
+    series): the AR(1) solve over the rows laid end to end must not carry
+    a non-finite value from one row into the next, and the per-row design
+    products must round as the shared ones do. The saturated row must
+    raise no divide warning (pytest turns spotvol's RuntimeWarnings into
+    errors)."""
+    windows = (models[family], later_models[family])
+    rows = {(w, name): (model,) + kind
+            for w, model in enumerate(windows)
+            for name, kind in _row_kinds(model).items()}
+    grads = {key: r[0].logp_grad(r[1])[1] for key, r in rows.items()}
     with np.errstate(over="ignore", invalid="ignore"):
-        alone = {n: _rows(model, th, p, eps, 3, m)[0]
-                 for n, (th, p, eps, m) in kinds.items()}
-        assert math.isfinite(alone["finite_a"][2])
-        assert alone["saturated"][2] == -np.inf
-        assert not np.isfinite(alone["huge_eps"][0]).any()
-        batches = [[n] for n in kinds]
-        batches += [list(b) for b in itertools.permutations(kinds, 2)]
-        batches += [list(b) for b in itertools.permutations(kinds, 4)]
-        for names in batches:
-            rows = [kinds[n] for n in names]
-            out = model.trajectory(
-                np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]),
-                np.stack([grads[n] for n in names]),
-                np.array([r[2] for r in rows]), 3,
-                np.stack([r[3] for r in rows]))
-            for b, name in enumerate(names):
-                for got, want in zip(out, alone[name]):
-                    assert np.asarray(got[b]).tobytes() \
-                        == np.asarray(want).tobytes(), (names, name)
+        alone = {key: _rows(model, th, p, eps, 3, m)[0]
+                 for key, (model, th, p, eps, m) in rows.items()}
+        for w in (0, 1):
+            assert math.isfinite(alone[w, "finite_a"][2])
+            assert alone[w, "saturated"][2] == -np.inf
+            assert not np.isfinite(alone[w, "huge_eps"][0]).any()
+        batches = [[key] for key in rows]
+        batches += [list(b) for b in itertools.permutations(rows, 2)]
+        for w in (0, 1):
+            batches += [list(b) for b in itertools.permutations(
+                [key for key in rows if key[0] == w], 4)]
+        shuffle = np.random.default_rng(5)
+        batches += [[list(rows)[i] for i in shuffle.permutation(len(rows))]
+                    for _ in range(12)]
+        for keys in batches:
+            args = (np.stack([rows[k][1] for k in keys]),
+                    np.stack([rows[k][2] for k in keys]),
+                    np.stack([grads[k] for k in keys]),
+                    np.array([rows[k][3] for k in keys]), 3,
+                    np.stack([rows[k][4] for k in keys]))
+            calls = [ModelRows([rows[k][0] for k in keys], 1).trajectory]
+            if len({k[0] for k in keys}) == 1:
+                calls.append(windows[keys[0][0]].trajectory)
+            for call in calls:
+                out = call(*args)
+                for b, key in enumerate(keys):
+                    for got, want in zip(out, alone[key]):
+                        assert np.asarray(got[b]).tobytes() \
+                            == np.asarray(want).tobytes(), (keys, key)
+
+
+def test_model_rows_need_one_kind_and_length(models, later_models,
+                                             baseline_truth):
+    ModelRows([models["svx"], later_models["svx"]], 2)
+    with pytest.raises(TypeError):
+        ModelRows([models["baseline"], models["svx"]], 2)
+    with pytest.raises(TypeError):
+        ModelRows([models["baseline"], BaselineSvModel(
+            baseline_truth.daily_prices.window(0, 61))], 2)
