@@ -188,6 +188,9 @@ def _fit_forecasts(combo: CvCombination, windows: list, cfg: BacktestConfig,
     Yields per window, in order, (ForecastSet, convergence figures) or the
     _FOLD_ERRORS exception that failed it.
     """
+    # an invalid sampler fails the run, not each fit, and would not size
+    # the groups
+    cfg.sampler.validate()
     size = max(1, _MAX_ROWS // cfg.sampler.n_chains)
     for g in range(0, len(windows), size):
         group = list(zip(windows[g:g + size], seed_pairs[g:g + size]))

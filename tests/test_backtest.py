@@ -346,6 +346,26 @@ def test_cross_validate_short_series_rejected():
             plan, BacktestConfig(sampler=fast_sampler()), seed=1)
 
 
+@pytest.mark.parametrize("n_chains", [0, 1])
+def test_invalid_sampler_fails_the_run_before_any_fit(monkeypatch, n_chains):
+    import spotvol.backtest as bt
+    from spotvol.errors import InvalidConfig
+    from tests.conftest import per_fit
+
+    def no_sample(model, cfg, seed):
+        raise AssertionError("an invalid sampler must not fit")
+
+    monkeypatch.setattr(bt, "sample_fits", per_fit(no_sample))
+    y, frame, plan = _three_fold_material()
+    combo = CvCombination("svx", 14, 1, y, exog=frame)
+    cfg = BacktestConfig(sampler=fast_sampler(n_chains=n_chains))
+    with pytest.raises(InvalidConfig):
+        cross_validate([combo], plan, cfg, seed=1)
+    with pytest.raises(InvalidConfig):
+        rolling_forecast(combo, (str(y.dates[0]), str(y.dates[59])), 2,
+                         cfg, seed=1)
+
+
 def test_cross_validate_full_plan_report_count():
     # the ten-year plan produces exactly 36 reports per combination
     spec = SynthSpec(mu=-1.0, phi=0.9, sigma=0.3, n_days=3600,
