@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import FeatureNotInModel, LengthMismatch
 from .models import COEF_NAMES, mean_values
@@ -20,6 +20,7 @@ from .stats import pearson
 
 FEATURES = ("temperature", "weekday")
 INDEPENDENCE_WARN = 0.3
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ def residual_report(actual, predicted_mean) -> ResidualReport:
     r_pa, flag_pa = pearson(predicted, actual)
     return ResidualReport(
         residuals=resid,
-        qq_theoretical=ndtri(positions),
+        qq_theoretical=np.array(
+            [_STD_NORMAL.inv_cdf(p) for p in positions.tolist()]),
         qq_sample=np.sort(resid),
         r_resid_pred=r_rp,
         r_resid_pred_degenerate=flag_rp,

@@ -23,6 +23,13 @@ scratch buffers are kept per model and row count, and each step writes
 them with ``out=``. The kernel sets no floating-point error state of its own (the
 sampler silences overflow once per fit).
 
+``dtbsv`` comes from scipy's compiled BLAS wrapper ``scipy.linalg._fblas``,
+loaded from its file without running the ``scipy`` or ``scipy.linalg``
+package imports, which cost a fresh process more than the rest of
+spotvol's import together. The module is registered under its own name,
+so a later ``import scipy.linalg`` reuses it: both routes hold the same
+function object.
+
 Parameter vector layout (unconstrained scale), with T latent days and a
 design matrix of k columns (k = 0 for the baseline model):
 
@@ -44,10 +51,13 @@ the k > 0 density with all coefficients at zero agree bit for bit.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 __all__ = [
     "sv_logp_grad",
@@ -58,6 +68,41 @@ __all__ = [
 ]
 
 EMPTY_DESIGN = np.zeros((0, 0))
+
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _fblas_path():
+    """File of scipy's compiled BLAS wrapper, or None. ``find_spec`` of a
+    top-level package locates it without executing its ``__init__``."""
+    spec = importlib.util.find_spec("scipy")
+    bases = spec.submodule_search_locations if spec else None
+    for base in bases or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_fblas" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_dtbsv():
+    """``scipy.linalg.blas.dtbsv``, without importing ``scipy.linalg``
+    when its extension file can be loaded directly."""
+    module = sys.modules.get(_FBLAS)
+    if module is None:
+        path = _fblas_path()
+        if path is None:
+            from scipy.linalg.blas import dtbsv
+            return dtbsv
+        loader = ExtensionFileLoader(_FBLAS, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(_FBLAS, path, loader=loader))
+        loader.exec_module(module)
+        sys.modules[_FBLAS] = module
+    return module.dtbsv
+
+
+dtbsv = _load_dtbsv()
 
 
 def _ar1(x, band, lower):

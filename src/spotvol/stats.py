@@ -1,8 +1,8 @@
 """Statistical diagnostics: unit-root test, partial autocorrelation,
 rank-sum comparison, two-cluster structure, cubic trend fit.
 
-Everything here is pure numpy/scipy; regressions go through QR rather than
-normal equations.
+Everything here is pure numpy and the standard library; regressions go
+through QR rather than normal equations.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .errors import (
     DegenerateData,
@@ -34,11 +33,11 @@ TAU_C_LARGEP = (1.7339, 9.3202e-1, -1.2745e-1, -1.0368e-2)
 
 
 def norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def norm_sf(x: float) -> float:
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def mackinnon_pvalue(stat: float) -> float:
@@ -54,12 +53,18 @@ def mackinnon_pvalue(stat: float) -> float:
     return norm_cdf(poly)
 
 
-def _qr_lstsq(X: np.ndarray, y: np.ndarray):
-    """Least squares through QR; returns (beta, residuals, R)."""
+def _qr(X: np.ndarray):
+    """Reduced QR of a full-rank design; raises SingularRegression."""
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularRegression("design matrix is rank deficient")
+    return q, r
+
+
+def _qr_lstsq(X: np.ndarray, y: np.ndarray):
+    """Least squares through QR; returns (beta, residuals, R)."""
+    q, r = _qr(X)
     beta = np.linalg.solve(r, q.T @ y)
     resid = y - X @ beta
     return beta, resid, r
@@ -134,12 +139,14 @@ def adf_test(y, max_lags: int | None = None, alpha: float = 0.05) -> AdfResult:
     return AdfResult(stat, mackinnon_pvalue(stat), k, alpha)
 
 
-def _residualize(target, condition):
-    """Residual of target after OLS on the conditioning block plus constant."""
-    X = np.column_stack([condition, np.ones(len(target))]) if condition.size \
-        else np.ones((len(target), 1))
-    _, resid, _ = _qr_lstsq(X, target)
-    return resid
+def _residualize(targets, condition):
+    """Residuals of each target after OLS on the conditioning block plus
+    constant. The block is factored once and shared by the targets."""
+    n = len(condition)
+    X = np.column_stack([condition, np.ones(n)]) if condition.size \
+        else np.ones((n, 1))
+    q, r = _qr(X)
+    return [y - X @ np.linalg.solve(r, q.T @ y) for y in targets]
 
 
 def pacf(y, max_lag: int) -> np.ndarray:
@@ -161,8 +168,7 @@ def pacf(y, max_lag: int) -> np.ndarray:
         oldest = y[t - k]
         inter = np.column_stack([y[t - i] for i in range(1, k)]) \
             if k > 1 else np.empty((len(t), 0))
-        r_t = _residualize(target, inter)
-        r_o = _residualize(oldest, inter)
+        r_t, r_o = _residualize((target, oldest), inter)
         out[k], _ = pearson(r_t, r_o)
     return out
 

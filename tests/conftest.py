@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spotvol
 from spotvol import ExogenousFrame, SvxCoeffs, SynthSpec, synthesize
 from spotvol.hmc import SamplerConfig
 
@@ -109,3 +115,14 @@ def degenerate_fit(model, mu=-1.0, phi=0.9, sigma=0.3, h=None, n_draws=50,
         train_summary=model.train_summary(),
         model_family=model.kind,
     )
+
+
+def run_python(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports spotvol
+    from the tests' source tree: what a module loads on import can only
+    be seen from a process that has not loaded it yet."""
+    src = str(Path(spotvol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout

@@ -98,7 +98,10 @@ def test_determinism(baseline_truth):
 # sha256 of fit.draws for the two fits in test_draws_pinned, recorded with
 # the thread-pooled sampler and the numba-free kernel it replaced (numpy
 # 2.4, scipy 1.17, x86-64), and unchanged since the kernel's AR(1)
-# recursions moved from lfilter to BLAS dtbsv. A change that moves one bit
+# recursions moved from lfilter to BLAS dtbsv, and since the kernel took
+# that dtbsv from scipy.linalg._fblas loaded from its file rather than
+# through `import scipy.linalg.blas` (the same function object, so the
+# same BLAS routine and the same rounding). A change that moves one bit
 # of a draw fails here; a numpy build that rounds exp() differently does
 # too, and so does a BLAS whose transposed band solve (tbsv) rounds its
 # product-then-subtract step differently.

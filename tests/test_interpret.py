@@ -128,9 +128,13 @@ def test_residual_report_gaussian_qq():
     corr = np.corrcoef(rep.qq_theoretical, rep.qq_sample)[0, 1]
     assert corr > 0.99
     assert len(rep.qq_theoretical) == 1000
-    # plotting positions (i - 0.5)/n map through the normal quantile
+    # plotting positions (i - 0.5)/n map through the normal quantile, to
+    # 2e-15 relative of scipy's ndtri
     from scipy.special import ndtri
-    assert rep.qq_theoretical[0] == pytest.approx(ndtri(0.5 / 1000))
+    for n in (1, 2, 1000, 3500):
+        qq = residual_report(np.zeros(n), np.zeros(n)).qq_theoretical
+        np.testing.assert_allclose(qq, ndtri((np.arange(1, n + 1) - 0.5) / n),
+                                   rtol=2e-15, atol=0)
 
 
 def test_residual_report_anticorrelated():

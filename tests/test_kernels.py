@@ -5,13 +5,14 @@ textbook one in conftest."""
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from spotvol import BaselineSvModel, SvxModel, kernels
 from spotvol.models import ModelRows
-from tests.conftest import leapfrog
+from tests.conftest import leapfrog, run_python
 
 
 def naive_logp(theta, y, ybar, Z):
@@ -307,3 +308,24 @@ def test_model_rows_need_one_kind_and_length(models, later_models,
     with pytest.raises(TypeError):
         ModelRows([models["baseline"], BaselineSvModel(
             baseline_truth.daily_prices.window(0, 61))], 2)
+
+
+# ---------------------------------------------------------------- BLAS source
+
+@pytest.mark.parametrize("first", ["spotvol.kernels", "scipy.linalg.blas"])
+def test_dtbsv_is_scipy_blas_dtbsv_in_either_import_order(first):
+    # the kernel loads scipy.linalg._fblas from its file; scipy's own
+    # import must then reuse that module, and the reverse, in a fresh
+    # process each, since a module is loaded once per process
+    code = (f"import importlib; importlib.import_module({first!r}); "
+            "import scipy.linalg.blas, spotvol.kernels; "
+            "print(spotvol.kernels.dtbsv is scipy.linalg.blas.dtbsv)")
+    assert run_python(code).strip() == "True"
+
+
+def test_dtbsv_falls_back_to_scipy_linalg(monkeypatch):
+    from scipy.linalg.blas import dtbsv
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
+    monkeypatch.setattr(kernels, "_fblas_path", lambda: None)
+    assert kernels._load_dtbsv() is dtbsv

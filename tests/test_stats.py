@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf, erfc
 from scipy.stats import mannwhitneyu, rankdata
 
 from spotvol import (
@@ -20,8 +21,36 @@ from spotvol.errors import (
     LagTooLarge,
     RankDeficient,
     SeriesTooShort,
+    SingularRegression,
 )
-from spotvol.stats import MwuMethod, Stationarity, _midranks
+from spotvol.stats import (
+    MwuMethod,
+    Stationarity,
+    _midranks,
+    _qr_lstsq,
+    norm_cdf,
+    norm_sf,
+)
+
+
+# ---------------------------------------------------------------- normal tails
+
+def test_normal_cdf_and_sf_match_scipy_special():
+    # the standard library's erf/erfc against scipy's: erf to 1e-15
+    # relative (the sum 1 + erf rounds once more, half an ulp of 1 at
+    # most), erfc to 1e-14 relative down to 1e-20 and 1e-13 down to 1e-300
+    x = np.linspace(-40.0, 40.0, 8001)
+    z = x / math.sqrt(2.0)
+    cdf = np.array([norm_cdf(v) for v in x.tolist()])
+    ref_erf = erf(z)
+    bound = 0.5 * (1e-15 * np.abs(ref_erf) + np.finfo(float).eps)
+    assert np.all(np.abs(cdf - 0.5 * (1.0 + ref_erf)) <= bound)
+
+    sf = np.array([norm_sf(v) for v in x.tolist()])
+    ref_erfc = erfc(z)
+    rel = np.abs(2.0 * sf - ref_erfc) / np.where(ref_erfc > 0, ref_erfc, 1.0)
+    assert np.all(rel[ref_erfc >= 1e-20] <= 1e-14)
+    assert np.all(rel[ref_erfc >= 1e-300] <= 1e-13)
 
 
 # ---------------------------------------------------------------- ADF
@@ -118,6 +147,39 @@ def test_pacf_agrees_with_durbin_levinson():
     a = pacf(y, 12)
     b = pacf_durbin_levinson(y, 12)
     assert np.max(np.abs(a[1:] - b[1:])) < 0.01
+
+
+def _pacf_two_qr(y, max_lag):
+    """The regression-method PACF with one QR per target: the intervening
+    lags are factored twice per lag, once for each regression."""
+    n = len(y)
+    out = np.empty(max_lag + 1)
+    out[0] = 1.0
+    for k in range(1, max_lag + 1):
+        t = np.arange(k, n)
+        X = np.column_stack([y[t - i] for i in range(1, k)] + [np.ones(len(t))])
+        _, r_t, _ = _qr_lstsq(X, y[t])
+        _, r_o, _ = _qr_lstsq(X, y[t - k])
+        out[k], _ = pearson(r_t, r_o)
+    return out
+
+
+def test_pacf_equals_two_qr_reference():
+    rng = np.random.default_rng(8)
+    e = rng.standard_normal(1200)
+    ar = np.empty_like(e)
+    ar[0] = e[0]
+    for t in range(1, len(e)):
+        ar[t] = 0.7 * ar[t - 1] + e[t]
+    days = np.arange(len(e))
+    for y in (e, ar, np.cumsum(e), 50.0 + 0.01 * days + np.sin(days / 7.0) + e):
+        assert np.array_equal(pacf(y, 42), _pacf_two_qr(y, 42))
+
+
+def test_pacf_rank_deficient_block():
+    # a constant series makes every lag column parallel to the constant
+    with pytest.raises(SingularRegression):
+        pacf(np.full(100, 3.0), 5)
 
 
 def test_pacf_lag_too_large():
