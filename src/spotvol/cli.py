@@ -89,6 +89,12 @@ def _load(cfg: RunConfig, family: str, hour: int, zone: int,
     return CvCombination(family, hour, zone, series, frame), temps, prices
 
 
+def _reprs(column):
+    """A column's values as float reprs, the way the output CSVs write
+    them, converted in one pass."""
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
 def _fit_stdout_summary(fit: PosteriorFit) -> str:
     lines = [f"family: {fit.model_family}   chains: {fit.n_chains}   "
              f"kept/chain: {fit.kept_per_chain}"]
@@ -274,8 +280,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
     max_lag = min(max_lag, len(y) // 4 - 1)
     pacf_vals = pacf(y, max_lag)
     report["pacf"] = pacf_vals.tolist()
-    write_csv(outdir / "pacf.csv", ["lag", "pacf"],
-              ([k, repr(float(v))] for k, v in enumerate(pacf_vals)))
+    write_csv(outdir / "pacf.csv", ["lag", "pacf"], enumerate(_reprs(pacf_vals)))
 
     if temps is not None:
         temp = temps.values  # same-day pairing for the correlation analysis
@@ -308,15 +313,12 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         }
         write_csv(outdir / "residuals.csv",
                   ["residual", "qq_theoretical", "qq_sample", "predicted_mean"],
-                  ([repr(float(v)) for v in row] for row in zip(
-                      res.residuals, res.qq_theoretical, res.qq_sample,
-                      ppd.mean)))
-        vol_mean, vol_lo, vol_hi = volatility_path(fit)
+                  zip(*map(_reprs, (res.residuals, res.qq_theoretical,
+                                    res.qq_sample, ppd.mean))))
         write_csv(outdir / "volatility.csv",
                   ["date", "vol_mean", "vol_low", "vol_high"],
-                  ([str(model.dates[i]), repr(float(vol_mean[i])),
-                    repr(float(vol_lo[i])), repr(float(vol_hi[i]))]
-                   for i in range(len(vol_mean))))
+                  zip(model.dates.astype(str).tolist(),
+                      *map(_reprs, volatility_path(fit))))
         if fit.model_family == "svx":
             report["raw_coefficients"] = raw_coefficients(fit)
             for feature in ("temperature", "weekday"):
@@ -328,8 +330,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
                     "feature_independence_r": curve.feature_independence_r,
                 }
                 write_csv(outdir / f"pd_{feature}.csv", [feature, "pd"],
-                          ([repr(float(g)), repr(float(v))]
-                           for g, v in zip(curve.grid, curve.pd)))
+                          zip(_reprs(curve.grid), _reprs(curve.pd)))
 
     write_json(outdir / "diagnostics.json", report)
     _write_manifest(cfg, "diagnose", outdir,

@@ -116,7 +116,8 @@ def load_weather(path) -> HourlyTable:
 
 def write_csv(path, header, rows) -> None:
     """Write a header row, then `rows`, as UTF-8 CSV; every output CSV of
-    the package goes through here."""
+    the package goes through here except `export_hourly`'s, which writes
+    the same dialect in one formatted pass."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -133,12 +134,19 @@ def export_hourly(table: HourlyTable, path, value_name: str) -> None:
     """Write an HourlyTable back to the canonical CSV layout.
 
     Values are written with repr round-tripping, so load(export(t)) == t.
+    The bytes are those of `write_csv`: no field needs quoting, since ISO
+    dates, ints and float reprs hold no comma, quote or line break. Each
+    distinct day's date string is made once.
     """
     order = np.lexsort((table.hours, table.dates.view("int64")))
-    write_csv(path, ["date", "hour", value_name],
-              zip(table.dates[order].astype(str).tolist(),
-                  table.hours[order].tolist(),
-                  map(repr, table.values[order].tolist())))
+    days, day_of_row = np.unique(table.dates[order], return_inverse=True)
+    day_text = days.astype(str).tolist()
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"date,hour,{value_name}\r\n")
+        fh.write("".join(
+            f"{day_text[d]},{h},{v!r}\r\n" for d, h, v in zip(
+                day_of_row.tolist(), table.hours[order].tolist(),
+                table.values[order].tolist())))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -37,19 +38,52 @@ class VolMode(str, Enum):
 
 @dataclass(frozen=True)
 class ForecastSet:
-    """Matrix of predictive draws with per-day summaries."""
+    """Matrix of predictive draws with per-day summaries.
+
+    ``mean`` is computed when the set is made; the 95% intervals of the
+    draws and the volatility summaries are computed on first read and
+    cached, so a caller that reads only ``mean`` pays for no percentile.
+    """
 
     draws: np.ndarray      # (n_draws, horizon)
     mean: np.ndarray       # exact column means of draws
-    ci_low: np.ndarray     # 2.5 percentile
-    ci_high: np.ndarray    # 97.5 percentile
-    vol_mean: np.ndarray   # summaries of exp(h/2)
-    vol_low: np.ndarray
-    vol_high: np.ndarray
     mode: PpdMode
     vol_mode: VolMode | None = None
     dates: np.ndarray | None = None
     vol_draws: np.ndarray | None = None  # per-draw exp(h/2), same shape as draws
+
+    @cached_property
+    def _ci(self) -> np.ndarray:
+        return np.percentile(self.draws, [2.5, 97.5], axis=0)
+
+    @cached_property
+    def ci_low(self) -> np.ndarray:
+        """2.5 percentile of the draws."""
+        return self._ci[0]
+
+    @cached_property
+    def ci_high(self) -> np.ndarray:
+        """97.5 percentile of the draws."""
+        return self._ci[1]
+
+    @cached_property
+    def _vol_ci(self) -> np.ndarray:
+        return np.percentile(self.vol_draws, [2.5, 97.5], axis=0)
+
+    @cached_property
+    def vol_mean(self) -> np.ndarray:
+        """Column means of exp(h/2)."""
+        return self.vol_draws.mean(axis=0)
+
+    @cached_property
+    def vol_low(self) -> np.ndarray:
+        """2.5 percentile of exp(h/2)."""
+        return self._vol_ci[0]
+
+    @cached_property
+    def vol_high(self) -> np.ndarray:
+        """97.5 percentile of exp(h/2)."""
+        return self._vol_ci[1]
 
     @property
     def horizon(self) -> int:
@@ -82,22 +116,9 @@ class ForecastSet:
     @classmethod
     def from_draws(cls, draws, vols, mode, vol_mode=None,
                    dates=None) -> "ForecastSet":
-        """Summarize predictive draws and their per-draw volatilities."""
-        lo, hi = np.percentile(draws, [2.5, 97.5], axis=0)
-        vlo, vhi = np.percentile(vols, [2.5, 97.5], axis=0)
-        return cls(
-            draws=draws,
-            mean=draws.mean(axis=0),
-            ci_low=lo,
-            ci_high=hi,
-            vol_mean=vols.mean(axis=0),
-            vol_low=vlo,
-            vol_high=vhi,
-            mode=mode,
-            vol_mode=vol_mode,
-            dates=dates,
-            vol_draws=np.asarray(vols),
-        )
+        """Wrap predictive draws and their per-draw volatilities."""
+        return cls(draws=draws, mean=draws.mean(axis=0), mode=mode,
+                   vol_mode=vol_mode, dates=dates, vol_draws=np.asarray(vols))
 
 
 def _check_fit(fit: PosteriorFit):

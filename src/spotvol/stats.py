@@ -50,7 +50,8 @@ def mackinnon_pvalue(stat: float) -> float:
     poly = 0.0
     for c in reversed(coefs):
         poly = poly * stat + c
-    return norm_cdf(poly)
+    # Phi(poly) as the upper tail of -poly: 1 + erf cancels for poly < 0
+    return norm_sf(-poly)
 
 
 def _qr(X: np.ndarray):

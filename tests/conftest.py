@@ -117,6 +117,19 @@ def degenerate_fit(model, mu=-1.0, phi=0.9, sigma=0.3, h=None, n_draws=50,
     )
 
 
+def assert_summaries_exact(fs) -> None:
+    """A ForecastSet's summaries, read on demand, equal the reductions of
+    its draws computed in one pass each, and are cached on first read."""
+    lo, hi = np.percentile(fs.draws, [2.5, 97.5], axis=0)
+    vlo, vhi = np.percentile(fs.vol_draws, [2.5, 97.5], axis=0)
+    for name, want in (("mean", fs.draws.mean(axis=0)), ("ci_low", lo),
+                       ("ci_high", hi), ("vol_mean", fs.vol_draws.mean(axis=0)),
+                       ("vol_low", vlo), ("vol_high", vhi)):
+        got = getattr(fs, name)
+        assert np.array_equal(got, want), name
+        assert getattr(fs, name) is got, name
+
+
 def run_python(code: str) -> str:
     """stdout of ``code`` run by a fresh interpreter that imports spotvol
     from the tests' source tree: what a module loads on import can only

@@ -20,7 +20,7 @@ from spotvol import (
     synthesize,
 )
 from spotvol.errors import InsufficientFutureData, LengthMismatch, SpotvolError
-from tests.conftest import fast_sampler
+from tests.conftest import assert_summaries_exact, fast_sampler
 
 
 def test_mae_hand_values():
@@ -424,6 +424,7 @@ def test_rolling_forecast_single_day_equals_direct():
 
     assert res.forecast.vol_draws is not None
     assert res.forecast.vol_draws.shape == res.forecast.draws.shape == (300, 2)
+    assert_summaries_exact(res.forecast)
     seeds = np.random.SeedSequence(33).spawn(4)
     for j in range(2):
         model = BaselineSvModel(y.window(j, 360 + j))

@@ -15,6 +15,7 @@ from spotvol.errors import (
     TooFewDraws,
 )
 from spotvol.hmc import SamplerConfig, init_chain, transition
+from spotvol.posterior import summarize_draws
 from tests.conftest import fast_sampler, leapfrog_rows
 
 
@@ -221,6 +222,21 @@ def test_summary_means_exact(baseline_truth):
     for j, name in enumerate(fit.param_names):
         assert fit.summary[name]["mean"] == fit.draws[:, j].mean()
     assert set(fit.diagnostics["rhat"]) == set(fit.param_names)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_summarize_draws_means_equal_column_means(order):
+    # an svx fit's shape: 2 chains x 500 draws, T + 9 parameters, with
+    # column scales as far apart as a price level and a latent path
+    rng = np.random.default_rng(12)
+    T = 240
+    names = [f"p{j}" for j in range(T + 9)]
+    draws = np.asarray(rng.standard_normal((1000, T + 9))
+                       * rng.uniform(1e-3, 1e3, T + 9)
+                       + rng.uniform(-1e4, 1e4, T + 9), order=order)
+    summary = summarize_draws(draws, names)
+    for j, name in enumerate(names):
+        assert summary[name]["mean"] == draws[:, j].mean()
 
 
 def test_config_validation():

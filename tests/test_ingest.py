@@ -326,6 +326,19 @@ def test_export_hourly_bytes_match_row_writer(tmp_path):
         b"date,hour,price\r\n2024-02-28,12,0.3333333333333333\r\n"
         b"2024-03-01,0,1e+22\r\n2024-03-01,23,5e-324\r\n2024-03-02,0,-0.0\r\n")
 
+    # a synthetic table: 40 days of 24 hours, rows in shuffled order
+    prices, _, _ = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
+                                        n_days=40, mean_price=50.0, seed=5,
+                                        start_date="2023-12-20",
+                                        hourly_amp_price=7.5))
+    shuffle = np.random.default_rng(1).permutation(len(prices.values))
+    table = HourlyTable(prices.dates[shuffle], prices.hours[shuffle],
+                        prices.values[shuffle])
+    export_hourly(table, tmp_path / "new.csv", "price")
+    _reference_export(table, tmp_path / "ref.csv", "price")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len((tmp_path / "new.csv").read_bytes().splitlines()) == 1 + 40 * 24
+
 
 def test_duplicate_reports_first_in_key_order(tmp_path):
     # two duplicated keys, neither pair adjacent; the one seen first in the

@@ -19,7 +19,7 @@ from spotvol.errors import (
     TooFewDraws,
 )
 from spotvol.posterior import PosteriorFit
-from tests.conftest import degenerate_fit
+from tests.conftest import assert_summaries_exact, degenerate_fit
 
 
 def test_degenerate_posterior_modes_coincide(baseline_truth):
@@ -219,3 +219,41 @@ def test_point_forecast_holds_mean_last_volatility():
                    vol_mode=VolMode.HOLD, seed=5)
     expected = np.exp(fit.column("h[49]").mean() / 2.0)
     assert np.all(out.vol_draws == expected)
+
+
+@pytest.mark.parametrize("mode", list(PpdMode))
+def test_insample_summaries_exact(baseline_truth, mode):
+    model = BaselineSvModel(baseline_truth.daily_prices)
+    fit = _random_fit(T=model.T, n_draws=400)
+    fit.train_summary.update(model.train_summary())
+    assert_summaries_exact(ppd_insample(fit, model, n_draws=300, mode=mode,
+                                        seed=6))
+
+
+@pytest.mark.parametrize("vol_mode", list(VolMode))
+@pytest.mark.parametrize("mode", list(PpdMode))
+def test_forecast_summaries_exact(mode, vol_mode):
+    fit = _random_fit(T=50, n_draws=400)
+    assert_summaries_exact(forecast(fit, 5, n_draws=300, mode=mode,
+                                    vol_mode=vol_mode, seed=7))
+
+
+def test_insample_mean_reads_no_percentile(baseline_truth, monkeypatch):
+    # the residual report reads only the mean: the intervals are not computed
+    model = BaselineSvModel(baseline_truth.daily_prices)
+    fit = degenerate_fit(model)
+    calls = []
+    percentile = np.percentile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", counted)
+    out = ppd_insample(fit, model, n_draws=200, seed=3)
+    assert out.mean.shape == (model.T,)
+    assert calls == []
+    out.ci_low, out.ci_high, out.ci_low
+    assert len(calls) == 1
+    out.vol_high, out.vol_low
+    assert len(calls) == 2

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf, erfc
+from scipy.special import erf, erfc, ndtr
 from scipy.stats import mannwhitneyu, rankdata
 
 from spotvol import (
@@ -27,7 +27,9 @@ from spotvol.stats import (
     MwuMethod,
     Stationarity,
     _midranks,
+    TAU_C_SMALLP,
     _qr_lstsq,
+    mackinnon_pvalue,
     norm_cdf,
     norm_sf,
 )
@@ -54,6 +56,20 @@ def test_normal_cdf_and_sf_match_scipy_special():
 
 
 # ---------------------------------------------------------------- ADF
+
+def test_mackinnon_pvalue_lower_tail_keeps_its_digits():
+    # Phi(poly) computed as 1 + erf cancels to 0.0 below about 1e-16
+    def poly(stat):
+        return sum(c * stat ** i for i, c in enumerate(TAU_C_SMALLP))
+
+    def rel(a, b):
+        return abs(a - b) / abs(b)
+
+    assert rel(mackinnon_pvalue(-10.0), 1.9e-17) < 0.05
+    assert rel(mackinnon_pvalue(-10.0), ndtr(poly(-10.0))) < 1e-13
+    assert rel(mackinnon_pvalue(-8.0), norm_sf(-poly(-8.0))) < 1e-14
+    assert rel(mackinnon_pvalue(-8.0), ndtr(poly(-8.0))) < 1e-13
+
 
 def test_adf_random_walks_fail_to_reject():
     hits = 0
