@@ -225,7 +225,6 @@ def test_point_forecast_holds_mean_last_volatility():
 def test_insample_summaries_exact(baseline_truth, mode):
     model = BaselineSvModel(baseline_truth.daily_prices)
     fit = _random_fit(T=model.T, n_draws=400)
-    fit.train_summary.update(model.train_summary())
     assert_summaries_exact(ppd_insample(fit, model, n_draws=300, mode=mode,
                                         seed=6))
 
@@ -253,7 +252,7 @@ def test_insample_mean_reads_no_percentile(baseline_truth, monkeypatch):
     out = ppd_insample(fit, model, n_draws=200, seed=3)
     assert out.mean.shape == (model.T,)
     assert calls == []
-    out.ci_low, out.ci_high, out.ci_low
+    _ = out.ci_low, out.ci_high, out.ci_low
     assert len(calls) == 1
-    out.vol_high, out.vol_low
+    _ = out.vol_high, out.vol_low
     assert len(calls) == 2
