@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientFutureData, LengthMismatch, SpotvolError
+from .errors import (
+    HorizonZero,
+    InsufficientFutureData,
+    LengthMismatch,
+    SpotvolError,
+)
 from .hmc import SamplerConfig, sample_fits
 from .models import BaselineSvModel, build_model
 from .predictive import ForecastSet, PpdMode, VolMode, forecast
@@ -144,10 +149,12 @@ class BacktestConfig:
 # np.linalg.LinAlgError, ArithmeticError covers FloatingPointError
 _FOLD_ERRORS = (SpotvolError, ArithmeticError, ValueError)
 
-# the most chains (rows) of one lockstep group, which bounds the kept
-# draws held at once; a row's step cost stops falling by about here (the
-# B-scan in BENCH_18.json)
+# the most chains (rows) of one lockstep group, and the most rows x days:
+# together they bound the kept draws held at once. A row's step cost stops
+# falling by about 16 rows at T=360, and by 2 at T=3500 (the B-scan in
+# BENCH_18.json), so a long series runs one fit per group at little loss.
 _MAX_ROWS = 16
+_MAX_ROW_DAYS = 16 * 360
 
 
 def _seed_pairs(seed: int, n: int) -> list:
@@ -184,14 +191,17 @@ def _fit_forecasts(combo: CvCombination, windows: list, cfg: BacktestConfig,
     lo..hi inclusive, with its (fit seed, forecast seed) pair, and forecast
     the `horizon` days after hi.
 
-    The fits run in lockstep groups of at most ``_MAX_ROWS`` chains.
+    The fits run in lockstep groups of at most ``_MAX_ROWS`` chains and
+    ``_MAX_ROW_DAYS`` chain-days, and at least one fit.
     Yields per window, in order, (ForecastSet, convergence figures) or the
     _FOLD_ERRORS exception that failed it.
     """
     # an invalid sampler fails the run, not each fit, and would not size
     # the groups
     cfg.sampler.validate()
-    size = max(1, _MAX_ROWS // cfg.sampler.n_chains)
+    days = max((hi - lo + 1 for lo, hi, _ in windows), default=1)
+    rows = min(_MAX_ROWS, _MAX_ROW_DAYS // days)
+    size = max(1, rows // cfg.sampler.n_chains)
     for g in range(0, len(windows), size):
         group = list(zip(windows[g:g + size], seed_pairs[g:g + size]))
         models = [_attempt(combo.model, lo, hi) for (lo, hi, _), _ in group]
@@ -306,6 +316,8 @@ def rolling_forecast(combo: CvCombination, first_train: tuple,
     the combination's series; the series must extend `horizon_days` past
     its end.
     """
+    if horizon_days < 1:
+        raise HorizonZero(f"horizon_days must be >= 1, got {horizon_days}")
     dates = combo.series.dates
     span = combo.series.locate(*first_train)
     if span is None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, CvCombination, cross_validate
-from .config import RunConfig, typed
+from .config import RunConfig, model_family, typed
 from .errors import (
     ConfigError,
     IncompatibleFit,
@@ -116,28 +116,21 @@ def _fit_stdout_summary(fit: PosteriorFit) -> str:
     return "\n".join(lines)
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_fit(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     combo, _, _ = _load(cfg, cfg.model, cfg.hour, cfg.zone)
     n_days = len(combo.series)
-    train_days = typed("fit", cfg.section("fit"), "train_days", int, n_days)
-    if not 1 <= train_days <= n_days:
-        raise ConfigError(f"config key 'fit.train_days' must lie in "
-                          f"[1, {n_days}], got {train_days}")
+    train_days = typed("fit", cfg.section("fit"), "train_days", int, n_days,
+                       1, n_days)
     model = combo.model(0, train_days - 1)
     log.info("fitting %s on %d days (hour %d, zone %d)",
              cfg.model, model.T, cfg.hour, cfg.zone)
     fit = sample(model, cfg.sampler_config(), cfg.seed)
     fit.save(outdir / "fit.json")
-    _write_manifest(cfg, "fit", outdir)
     print(_fit_stdout_summary(fit))
-    return 2 if fit.diagnostics["max_rhat"] > RHAT_WARN else 0
+    return (2 if fit.diagnostics["max_rhat"] > RHAT_WARN else 0), None
 
 
-def cmd_forecast(cfg: RunConfig, fit_path) -> int:
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_forecast(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     fit = PosteriorFit.load(fit_path)
     if fit.model_family != cfg.model:
         raise IncompatibleFit(
@@ -161,7 +154,6 @@ def cmd_forecast(cfg: RunConfig, fit_path) -> int:
     fc.to_csv(outdir / "forecast.csv")
     write_json(outdir / "forecast.json", {**fc.to_json_dict(),
                "max_rhat": fit.diagnostics["max_rhat"], "warnings": fit.warnings})
-    _write_manifest(cfg, "forecast", outdir, {"fit": str(fit_path)})
     print(f"forecast horizon {horizon} written to {outdir / 'forecast.csv'}")
     for t in range(fc.horizon):
         label = str(fc.dates[t]) if fc.dates is not None else str(t)
@@ -169,12 +161,11 @@ def cmd_forecast(cfg: RunConfig, fit_path) -> int:
               f"[{fc.ci_low[t]:.2f}, {fc.ci_high[t]:.2f}]")
     for w in fit.warnings:
         print(f"warning: {w}")
-    return 2 if fit.diagnostics["max_rhat"] > RHAT_WARN else 0
+    return (2 if fit.diagnostics["max_rhat"] > RHAT_WARN else 0,
+            {"fit": str(fit_path)})
 
 
-def cmd_cv(cfg: RunConfig) -> int:
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_cv(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     section = cfg.section("cv")
     value = partial(typed, "cv", section)
     combos_cfg = section.get("combinations")
@@ -187,10 +178,7 @@ def cmd_cv(cfg: RunConfig) -> int:
         where = f"cv.combinations[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be a mapping, got {entry!r}")
-        family = typed(where, entry, "family", str, "baseline")
-        if family not in ("baseline", "svx"):
-            raise ConfigError(f"config key '{where}.family' must be "
-                              f"'baseline' or 'svx', got {family!r}")
+        family = typed(where, entry, "family", model_family, "baseline")
         hour = typed(where, entry, "hour", int, cfg.hour)
         zone = typed(where, entry, "zone", int, cfg.zone)
         # frames for both families, so that both forecast the same days
@@ -199,16 +187,12 @@ def cmd_cv(cfg: RunConfig) -> int:
     total = value("total_days", int, None) or min(len(c.series) for c in combos)
     plan = build_folds(total, value("train_days", int, 360),
                        value("test_days", int, 90))
-    n_draws = value("n_draws", int, 1000)
-    if n_draws < 1:
-        raise ConfigError(f"config key 'cv.n_draws' must be positive, "
-                          f"got {n_draws}")
     bt_cfg = BacktestConfig(
         sampler=cfg.sampler_config(),
-        n_draws=n_draws,
+        n_draws=value("n_draws", int, 1000, 1),
         mode=value("mode", PpdMode, PpdMode.POINT_ESTIMATE),
         vol_mode=value("vol_mode", VolMode, VolMode.PROPAGATE),
-        max_workers=section.get("max_workers"),
+        max_workers=value("max_workers", int, None),
     )
     log.info("cross-validating %d combinations over %d folds",
              len(combos), len(plan))
@@ -222,7 +206,6 @@ def cmd_cv(cfg: RunConfig) -> int:
                 repr(r.max_rhat), repr(r.min_ess), r.divergences]
                for mid in sorted(summary.reports)
                for r in summary.reports[mid]))
-    _write_manifest(cfg, "cv", outdir)
 
     print(f"{len(plan)} folds x {len(combos)} combinations")
     for mid, agg in sorted(summary.aggregates.items()):
@@ -235,19 +218,16 @@ def cmd_cv(cfg: RunConfig) -> int:
         if res:
             print(f"  mwu[{metric}]: U={res['u_statistic']:.0f} "
                   f"p={res['p_value']:.4f} ({res['method']})")
-    return 0
+    return 0, None
 
 
-def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_diagnose(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     section = cfg.section("diagnose")
     value = partial(typed, "diagnose", section)
     fit_path = fit_path or section.get("fit")
-    n_draws = value("n_draws", int, 1000)
-    if n_draws < 100:
-        raise ConfigError(f"config key 'diagnose.n_draws' must be at least "
-                          f"100, got {n_draws}")
+    n_draws = value("n_draws", int, 1000, 100)
+    max_lag = value("pacf_max_lag", int, 42, 0)
+    grid_size = value("pd_grid_size", int, 25, 1)
     fit = PosteriorFit.load(fit_path) if fit_path else None
     family = fit.model_family if fit else "baseline"
     if family not in ("baseline", "svx"):
@@ -273,12 +253,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         "n_lags_used": adf.n_lags_used, "conclusion": adf.conclusion.value,
     }
 
-    max_lag = value("pacf_max_lag", int, 42)
-    if max_lag < 0:
-        raise ConfigError(f"config key 'diagnose.pacf_max_lag' must be "
-                          f"non-negative, got {max_lag}")
-    max_lag = min(max_lag, len(y) // 4 - 1)
-    pacf_vals = pacf(y, max_lag)
+    pacf_vals = pacf(y, min(max_lag, len(y) // 4 - 1))
     report["pacf"] = pacf_vals.tolist()
     write_csv(outdir / "pacf.csv", ["lag", "pacf"], enumerate(_reprs(pacf_vals)))
 
@@ -322,8 +297,7 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
         if fit.model_family == "svx":
             report["raw_coefficients"] = raw_coefficients(fit)
             for feature in ("temperature", "weekday"):
-                curve = pd_ice(fit, model, feature,
-                               grid_size=value("pd_grid_size", int, 25))
+                curve = pd_ice(fit, model, feature, grid_size=grid_size)
                 report[f"pd_{feature}"] = {
                     "grid": curve.grid.tolist(),
                     "pd": curve.pd.tolist(),
@@ -333,20 +307,16 @@ def cmd_diagnose(cfg: RunConfig, fit_path=None) -> int:
                           zip(_reprs(curve.grid), _reprs(curve.pd)))
 
     write_json(outdir / "diagnostics.json", report)
-    _write_manifest(cfg, "diagnose", outdir,
-                    {"fit": str(fit_path)} if fit_path else None)
     print(f"adf: stat={adf.statistic:.3f} p={adf.p_value:.4f} "
           f"-> {adf.conclusion.value}")
     print(f"pacf(1) = {pacf_vals[1]:.4f}" if len(pacf_vals) > 1 else "")
     if "kmeans" in report:
         r = report["kmeans"]["correlations"]
         print(f"kmeans clusters r: cool={r[0]:.3f} warm={r[1]:.3f}")
-    return 0
+    return 0, {"fit": str(fit_path)} if fit_path else None
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     spec = cfg.synth_spec()
     prices, temps, truth = synthesize(spec)
     export_hourly(prices, outdir / "prices.csv", "price")
@@ -365,9 +335,8 @@ def cmd_synth(cfg: RunConfig) -> int:
         "dates": [str(d) for d in truth.daily_prices.dates],
     }
     write_json(outdir / "synth_truth.json", truth_doc)
-    _write_manifest(cfg, "synth", outdir)
     print(f"synthesized {spec.n_days} days x 24 hours into {outdir}")
-    return 0
+    return 0, None
 
 
 def cmd_report(run_dir) -> int:
@@ -426,6 +395,12 @@ def cmd_report(run_dir) -> int:
     (run_dir / "report.md").write_text(text)
     print(text)
     return 0
+
+
+# every config command: (config, output dir, fit path or None) ->
+# (exit code, manifest args or None)
+COMMANDS = {"fit": cmd_fit, "forecast": cmd_forecast, "cv": cmd_cv,
+            "diagnose": cmd_diagnose, "synth": cmd_synth}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,21 +467,14 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args.run_dir)
         cfg, manifest_args = _config_from_args(args)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "forecast":
-            fit_path = args.fit or manifest_args.get("fit")
-            if not fit_path:
-                raise ConfigError("forecast needs --fit (or a manifest with one)")
-            return cmd_forecast(cfg, fit_path)
-        if args.command == "cv":
-            return cmd_cv(cfg)
-        if args.command == "diagnose":
-            fit_path = getattr(args, "fit", None) or manifest_args.get("fit")
-            return cmd_diagnose(cfg, fit_path)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        fit_path = getattr(args, "fit", None) or manifest_args.get("fit")
+        if args.command == "forecast" and not fit_path:
+            raise ConfigError("forecast needs --fit (or a manifest with one)")
+        outdir = cfg.output_dir
+        outdir.mkdir(parents=True, exist_ok=True)
+        code, extra = COMMANDS[args.command](cfg, outdir, fit_path)
+        _write_manifest(cfg, args.command, outdir, extra)
+        return code
     except SpotvolError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -39,24 +39,48 @@ def _absolute(path, base: Path) -> str:
     return str(p if p.is_absolute() else (base / p).resolve())
 
 
-def typed(where: str, mapping: dict, key: str, kind, default=_MISSING):
-    """``mapping[key]`` converted by `kind` (int, float, str or an enum).
+def typed(where, mapping: dict, key: str, kind, default=_MISSING,
+          lo=None, hi=None):
+    """``mapping[key]`` converted by `kind` (int, float, str, an enum,
+    `integer` or `model_family`) and, when given, bounded to [lo, hi].
 
     An absent or null key gives `default`, unconverted, and is an error
-    when no default is given. `where` names the mapping in the
-    ``ConfigError`` raised for a missing key or a value that does not
-    convert.
+    when no default is given. `where` names the mapping (None for the
+    config root) in the ``ConfigError`` raised for a missing key, a value
+    that does not convert or one out of bounds.
     """
+    name = f"{where}.{key}" if where else key
     value = mapping.get(key)
     if value is None:
         if default is _MISSING:
-            raise ConfigError(f"config key '{where}.{key}' is required")
+            raise ConfigError(f"config key '{name}' is required")
         return default
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"config key '{where}.{key}': {value!r} is not a "
+        raise ConfigError(f"config key '{name}': {value!r} is not a "
                           f"valid {kind.__name__}") from None
+    if lo is not None and value < lo or hi is not None and value > hi:
+        bounds = " and ".join(f"{op} {b}" for op, b in ((">=", lo), ("<=", hi))
+                              if b is not None)
+        raise ConfigError(f"config key '{name}' must be {bounds}, "
+                          f"got {value!r}")
+    return value
+
+
+def integer(value) -> int:
+    """`value` if it is an int already, for `typed`: no float or string
+    passes as one."""
+    if not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def model_family(value) -> str:
+    """`value` if it names a model family, for `typed`."""
+    if value not in ("baseline", "svx"):
+        raise ValueError(value)
+    return value
 
 
 def _coefficients(where: str, mapping, cls):
@@ -103,7 +127,7 @@ class RunConfig:
         diag = cfg.section("diagnose")
         if diag.get("fit"):
             raw["diagnose"] = {**diag, "fit": _absolute(diag["fit"], base)}
-        cfg._validate_common()
+        cfg.seed, cfg.hour, cfg.zone, cfg.model  # a bad value fails the load
         return cfg
 
     # -- generic access -----------------------------------------------------
@@ -126,47 +150,27 @@ class RunConfig:
                               f"got {node!r}")
         return node
 
-    def require(self, *keys):
-        node = self.get(*keys, default=_MISSING)
-        if node is _MISSING:
-            raise ConfigError(f"config key {'.'.join(keys)!r} is required")
-        return node
-
-    def _validate_common(self):
-        seed = self.get("seed", default=_MISSING)
-        if seed is _MISSING or not isinstance(seed, int):
-            raise ConfigError("config must declare an integer 'seed'")
-        hour = self.get("hour", default=14)
-        if not isinstance(hour, int) or not 0 <= hour <= 23:
-            raise ConfigError(f"hour must be an integer in [0, 23], got {hour!r}")
-        zone = self.get("zone", default=1)
-        if zone not in (1, 2):
-            raise ConfigError(f"zone must be 1 or 2, got {zone!r}")
-        model = self.get("model", default="baseline")
-        if model not in ("baseline", "svx"):
-            raise ConfigError(f"model must be 'baseline' or 'svx', got {model!r}")
-
     # -- typed accessors ----------------------------------------------------
 
     @property
     def seed(self) -> int:
-        return self.require("seed")
+        return typed(None, self.raw, "seed", integer)
 
     @property
     def output_dir(self) -> Path:
-        return Path(self.require("output_dir"))
+        return Path(typed(None, self.raw, "output_dir", str))
 
     @property
     def hour(self) -> int:
-        return self.get("hour", default=14)
+        return typed(None, self.raw, "hour", integer, 14, 0, 23)
 
     @property
     def zone(self) -> int:
-        return self.get("zone", default=1)
+        return typed(None, self.raw, "zone", integer, 1, 1, 2)
 
     @property
     def model(self) -> str:
-        return self.get("model", default="baseline")
+        return typed(None, self.raw, "model", model_family, "baseline")
 
     def data_path(self, kind: str, zone: int) -> Path:
         table = self.get("data", kind)
@@ -188,18 +192,12 @@ class RunConfig:
             if section.get(key) is not None})
 
     def forecast_settings(self) -> dict:
-        section = self.section("forecast")
-        n_draws = typed("forecast", section, "n_draws", int, 1000)
-        if n_draws < 1:
-            raise ConfigError(f"config key 'forecast.n_draws' must be "
-                              f"positive, got {n_draws}")
+        value = partial(typed, "forecast", self.section("forecast"))
         return {
-            "horizon": typed("forecast", section, "horizon", int, 7),
-            "n_draws": n_draws,
-            "mode": typed("forecast", section, "mode", PpdMode,
-                          PpdMode.POINT_ESTIMATE),
-            "vol_mode": typed("forecast", section, "vol_mode", VolMode,
-                              VolMode.PROPAGATE),
+            "horizon": value("horizon", int, 7),
+            "n_draws": value("n_draws", int, 1000, 1),
+            "mode": value("mode", PpdMode, PpdMode.POINT_ESTIMATE),
+            "vol_mode": value("vol_mode", VolMode, VolMode.PROPAGATE),
         }
 
     def synth_spec(self) -> SynthSpec:
@@ -215,7 +213,7 @@ class RunConfig:
             seed=self.seed,
             start_date=value("start_date", str, "2020-01-01"),
             hour=value("hour", int, self.hour),
-            zone=value("zone", int, self.zone),
+            zone=value("zone", int, self.zone, 1, 2),
             hourly_amp_price=value("hourly_amp_price", float, 0.0),
             hourly_amp_temp=value("hourly_amp_temp", float, 0.0),
             svx=_coefficients("synth.svx", svx, SvxCoeffs) if svx else None,

@@ -203,6 +203,8 @@ class SynthSpec:
             raise InvalidSpec(f"n_days must be >= 2, got {self.n_days}")
         if not 0 <= self.hour <= 23:
             raise InvalidSpec(f"hour {self.hour} not in [0, 23]")
+        if self.zone not in (1, 2):
+            raise InvalidSpec(f"zone must be 1 or 2, got {self.zone}")
 
 
 @dataclass(frozen=True)

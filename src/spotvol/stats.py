@@ -32,10 +32,6 @@ TAU_C_SMALLP = (2.1659, 1.4412, 3.8269e-2)
 TAU_C_LARGEP = (1.7339, 9.3202e-1, -1.2745e-1, -1.0368e-2)
 
 
-def norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 

@@ -471,6 +471,52 @@ def test_rolling_forecast_first_train_outside_series():
         rolling_forecast(combo, (day_before, str(y.dates[59])), 1, cfg, seed=3)
 
 
+@pytest.mark.parametrize("horizon_days", [0, -1])
+def test_rolling_forecast_horizon_below_one_fails_before_any_fit(
+        monkeypatch, horizon_days):
+    import spotvol.backtest as bt
+    from spotvol.errors import HorizonZero
+    from tests.conftest import per_fit
+
+    def no_sample(model, cfg, seed):
+        raise AssertionError("a horizon below one must not fit")
+
+    monkeypatch.setattr(bt, "sample_fits", per_fit(no_sample))
+    truth, y, frame = _cv_material(n_days=80, seed=5)
+    combo = CvCombination("baseline", hour=14, zone=1, series=y, exog=frame)
+    cfg = BacktestConfig(sampler=fast_sampler(), n_draws=100)
+    with pytest.raises(HorizonZero):
+        rolling_forecast(combo, (str(y.dates[0]), str(y.dates[59])),
+                         horizon_days, cfg, seed=3)
+
+
+@pytest.mark.parametrize("T, groups", [
+    (360, [8, 2]),          # 16 rows of 2 chains: 8 fits a group
+    (1000, [2] * 5),        # 16 x 360 row-days: 5 rows, so 2 fits a group
+])
+def test_lockstep_groups_bounded_by_rows_and_days(monkeypatch, T, groups):
+    import spotvol.backtest as bt
+    from tests.conftest import degenerate_fit
+
+    sizes = []
+
+    def sample_fits(models, cfg, seeds, errors=()):
+        sizes.append(len(models))
+        return [degenerate_fit(m) for m in models]
+
+    monkeypatch.setattr(bt, "sample_fits", sample_fits)
+    _, _, truth = synthesize(SynthSpec(mu=-1.0, phi=0.9, sigma=0.3,
+                                       n_days=T + 10, mean_price=1000.0,
+                                       seed=8))
+    y = truth.daily_prices
+    combo = CvCombination("baseline", hour=14, zone=1, series=y)
+    cfg = BacktestConfig(sampler=fast_sampler(n_chains=2), n_draws=50)
+    res = rolling_forecast(combo, (str(y.dates[0]), str(y.dates[T - 1])),
+                           10, cfg, seed=3)
+    assert res.forecast.horizon == 10
+    assert sizes == groups
+
+
 def test_rolling_forecast_string_modes_serialize(monkeypatch):
     # the config file hands the modes over as strings; the rolling
     # forecast set must still serialize them

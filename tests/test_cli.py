@@ -111,6 +111,75 @@ def test_fit_manifest_replay_byte_identical(workspace):
     assert [_hash(out / name) for name in names] == before
 
 
+def _workspace_config(workspace, tmp_path, **overrides) -> Path:
+    """A config writing into tmp_path/out from the workspace's data."""
+    _, out, _ = workspace
+    cfg = {**base_config(tmp_path / "out"),
+           "data": {"prices": {1: str(out / "prices.csv")},
+                    "weather": {1: str(out / "weather.csv")}},
+           **overrides}
+    return write_config(tmp_path, cfg)
+
+
+def _assert_replay_rewrites(tmp_path, command, names) -> dict:
+    """Replay `command` from a copy of its manifest after deleting its
+    outputs: every output, the manifest too, comes back byte for byte.
+    Returns the manifest."""
+    out = tmp_path / "out"
+    manifest = out / f"{command}_manifest.json"
+    copy = tmp_path / "manifest_copy.json"
+    copy.write_bytes(manifest.read_bytes())
+    names = [*names, manifest.name]
+    before = {name: _hash(out / name) for name in names}
+    for name in names:
+        (out / name).unlink()
+    assert main([command, "--from-manifest", str(copy)]) == 0
+    assert {name: _hash(out / name) for name in names} == before
+    return json.loads(manifest.read_text())
+
+
+DIAGNOSE_OUTPUTS = ("diagnostics.json", "pacf.csv", "residuals.csv",
+                    "volatility.csv", "pd_temperature.csv", "pd_weekday.csv")
+
+
+def test_diagnose_fit_flag_manifest_replay_byte_identical(workspace,
+                                                           tmp_path):
+    _, out, _ = workspace
+    cfg_path = _workspace_config(workspace, tmp_path)
+    assert main(["diagnose", "-c", str(cfg_path),
+                 "--fit", str(out / "fit.json")]) == 0
+    manifest = _assert_replay_rewrites(tmp_path, "diagnose", DIAGNOSE_OUTPUTS)
+    assert manifest["args"] == {"fit": str(out / "fit.json")}
+
+
+def test_diagnose_config_fit_manifest_replay_byte_identical(workspace,
+                                                             tmp_path):
+    # diagnose.fit, relative to the config file, is the fit the manifest
+    # records
+    _, out, _ = workspace
+    rel = Path("..") / out.relative_to(tmp_path.parent) / "fit.json"
+    cfg_path = _workspace_config(workspace, tmp_path, diagnose={
+        "pacf_max_lag": 20, "fit": str(rel)})
+    assert main(["diagnose", "-c", str(cfg_path)]) == 0
+    manifest = _assert_replay_rewrites(tmp_path, "diagnose", DIAGNOSE_OUTPUTS)
+    assert Path(manifest["args"]["fit"]).samefile(out / "fit.json")
+
+
+def test_cv_one_fold_manifest_replay_byte_identical(workspace, tmp_path):
+    cfg_path = _workspace_config(
+        workspace, tmp_path,
+        sampler={"chains": 2, "warmup": 200, "draws": 500,
+                 "leapfrog_steps": 8},
+        cv={"train_days": 250, "test_days": 60, "n_draws": 100,
+            "combinations": [{"family": "baseline"}]})
+    assert main(["cv", "-c", str(cfg_path)]) == 0
+    manifest = _assert_replay_rewrites(tmp_path, "cv",
+                                       ("cv_summary.json", "cv_folds.csv"))
+    assert json.loads((tmp_path / "out" / "cv_summary.json").read_text())[
+        "n_folds"] == 1
+    assert "args" not in manifest
+
+
 def test_fit_save_load_round_trip(workspace, tmp_path):
     _, out, _ = workspace
     fit = PosteriorFit.load(out / "fit.json")
@@ -300,6 +369,10 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     ("forecast", {"forecast": {"n_draws": 0}}),
     ("diagnose", {"diagnose": {"n_draws": 50}}),
     ("cv", {"cv": {**base_config(Path("out"))["cv"], "n_draws": 0}}),
+    ("diagnose", {"diagnose": {"pd_grid_size": -1}}),
+    ("diagnose", {"diagnose": {"pd_grid_size": 0}}),
+    ("synth", {"synth": {**SYNTH, "zone": 3}}),
+    ("cv", {"cv": {**base_config(Path("out"))["cv"], "max_workers": "x"}}),
 ])
 def test_malformed_config_values_reported(workspace, tmp_path, capsys,
                                           command, override):

@@ -440,3 +440,7 @@ def test_invalid_specs():
         SynthSpec(mu=0, phi=0.5, sigma=0.0, n_days=10, mean_price=1, seed=0)
     with pytest.raises(InvalidSpec):
         SynthSpec(mu=0, phi=0.5, sigma=0.1, n_days=1, mean_price=1, seed=0)
+    for zone in (0, 3):
+        with pytest.raises(InvalidSpec):
+            SynthSpec(mu=0, phi=0.5, sigma=0.1, n_days=10, mean_price=1,
+                      seed=0, zone=zone)
