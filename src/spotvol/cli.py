@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, CvCombination, cross_validate
-from .config import RunConfig, model_family, typed
+from .config import RunConfig, integer, model_family, typed
 from .errors import (
     ConfigError,
     IncompatibleFit,
@@ -119,7 +119,7 @@ def _fit_stdout_summary(fit: PosteriorFit) -> str:
 def cmd_fit(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     combo, _, _ = _load(cfg, cfg.model, cfg.hour, cfg.zone)
     n_days = len(combo.series)
-    train_days = typed("fit", cfg.section("fit"), "train_days", int, n_days,
+    train_days = typed("fit", cfg.section("fit"), "train_days", integer, n_days,
                        1, n_days)
     model = combo.model(0, train_days - 1)
     log.info("fitting %s on %d days (hour %d, zone %d)",
@@ -179,20 +179,20 @@ def cmd_cv(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be a mapping, got {entry!r}")
         family = typed(where, entry, "family", model_family, "baseline")
-        hour = typed(where, entry, "hour", int, cfg.hour)
-        zone = typed(where, entry, "zone", int, cfg.zone)
+        hour = typed(where, entry, "hour", integer, cfg.hour, 0, 23)
+        zone = typed(where, entry, "zone", integer, cfg.zone, 1, 2)
         # frames for both families, so that both forecast the same days
         combos.append(_load(cfg, family, hour, zone, frames=has_weather)[0])
 
-    total = value("total_days", int, None) or min(len(c.series) for c in combos)
-    plan = build_folds(total, value("train_days", int, 360),
-                       value("test_days", int, 90))
+    total = value("total_days", integer, None) or min(len(c.series) for c in combos)
+    plan = build_folds(total, value("train_days", integer, 360),
+                       value("test_days", integer, 90))
     bt_cfg = BacktestConfig(
         sampler=cfg.sampler_config(),
-        n_draws=value("n_draws", int, 1000, 1),
+        n_draws=value("n_draws", integer, 1000, 1),
         mode=value("mode", PpdMode, PpdMode.POINT_ESTIMATE),
         vol_mode=value("vol_mode", VolMode, VolMode.PROPAGATE),
-        max_workers=value("max_workers", int, None),
+        max_workers=value("max_workers", integer, None),
     )
     log.info("cross-validating %d combinations over %d folds",
              len(combos), len(plan))
@@ -225,9 +225,9 @@ def cmd_diagnose(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     section = cfg.section("diagnose")
     value = partial(typed, "diagnose", section)
     fit_path = fit_path or section.get("fit")
-    n_draws = value("n_draws", int, 1000, 100)
-    max_lag = value("pacf_max_lag", int, 42, 0)
-    grid_size = value("pd_grid_size", int, 25, 1)
+    n_draws = value("n_draws", integer, 1000, 100)
+    max_lag = value("pacf_max_lag", integer, 42, 0)
+    grid_size = value("pd_grid_size", integer, 25, 1)
     fit = PosteriorFit.load(fit_path) if fit_path else None
     family = fit.model_family if fit else "baseline"
     if family not in ("baseline", "svx"):
@@ -247,7 +247,7 @@ def cmd_diagnose(cfg: RunConfig, outdir: Path, fit_path) -> tuple:
     except SpotvolError:
         pass
 
-    adf = adf_test(y, max_lags=value("adf_max_lags", int, None))
+    adf = adf_test(y, max_lags=value("adf_max_lags", integer, None, 0))
     report["adf"] = {
         "statistic": adf.statistic, "p_value": adf.p_value,
         "n_lags_used": adf.n_lags_used, "conclusion": adf.conclusion.value,

@@ -20,14 +20,6 @@ from .hmc import SamplerConfig
 from .ingest import SvxCoeffs, SynthSpec, TempSpec
 from .predictive import PpdMode, VolMode
 
-_SAMPLER_KEYS = {
-    "chains": ("n_chains", int),
-    "warmup": ("warmup", int),
-    "draws": ("draws", int),
-    "leapfrog_steps": ("leapfrog_steps", int),
-    "target_accept": ("target_accept", float),
-    "max_workers": ("max_workers", int),
-}
 _MISSING = object()
 
 
@@ -41,8 +33,8 @@ def _absolute(path, base: Path) -> str:
 
 def typed(where, mapping: dict, key: str, kind, default=_MISSING,
           lo=None, hi=None):
-    """``mapping[key]`` converted by `kind` (int, float, str, an enum,
-    `integer` or `model_family`) and, when given, bounded to [lo, hi].
+    """``mapping[key]`` converted by `kind` (`integer`, float, str, an
+    enum or `model_family`) and, when given, bounded to [lo, hi].
 
     An absent or null key gives `default`, unconverted, and is an error
     when no default is given. `where` names the mapping (None for the
@@ -69,9 +61,9 @@ def typed(where, mapping: dict, key: str, kind, default=_MISSING,
 
 
 def integer(value) -> int:
-    """`value` if it is an int already, for `typed`: no float or string
-    passes as one."""
-    if not isinstance(value, int):
+    """`value` if it is an int already, for `typed`: no float, string or
+    bool passes as one."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(value)
     return value
 
@@ -186,16 +178,21 @@ class RunConfig:
 
     def sampler_config(self) -> SamplerConfig:
         section = self.section("sampler")
+        keys = {"chains": ("n_chains", integer), "warmup": ("warmup", integer),
+                "draws": ("draws", integer),
+                "leapfrog_steps": ("leapfrog_steps", integer),
+                "target_accept": ("target_accept", float),
+                "max_workers": ("max_workers", integer)}
         return SamplerConfig(**{
             attr: typed("sampler", section, key, kind)
-            for key, (attr, kind) in _SAMPLER_KEYS.items()
+            for key, (attr, kind) in keys.items()
             if section.get(key) is not None})
 
     def forecast_settings(self) -> dict:
         value = partial(typed, "forecast", self.section("forecast"))
         return {
-            "horizon": value("horizon", int, 7),
-            "n_draws": value("n_draws", int, 1000, 1),
+            "horizon": value("horizon", integer, 7),
+            "n_draws": value("n_draws", integer, 1000, 1),
             "mode": value("mode", PpdMode, PpdMode.POINT_ESTIMATE),
             "vol_mode": value("vol_mode", VolMode, VolMode.PROPAGATE),
         }
@@ -208,12 +205,12 @@ class RunConfig:
             mu=value("mu", float),
             phi=value("phi", float),
             sigma=value("sigma", float),
-            n_days=value("n_days", int),
+            n_days=value("n_days", integer),
             mean_price=value("mean_price", float),
             seed=self.seed,
             start_date=value("start_date", str, "2020-01-01"),
-            hour=value("hour", int, self.hour),
-            zone=value("zone", int, self.zone, 1, 2),
+            hour=value("hour", integer, self.hour),
+            zone=value("zone", integer, self.zone, 1, 2),
             hourly_amp_price=value("hourly_amp_price", float, 0.0),
             hourly_amp_temp=value("hourly_amp_temp", float, 0.0),
             svx=_coefficients("synth.svx", svx, SvxCoeffs) if svx else None,

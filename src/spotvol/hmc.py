@@ -16,12 +16,15 @@ inv_mass) -> (theta, p, lp, grad)`` runs n_steps leapfrog steps from
 each row of the (B, dim) theta, with eps (B,) and inv_mass (B, dim) per
 row, and computes the log density (B,) only at the end points, which is
 all that accept/reject uses. ``model.logp_grad`` is called once per
-chain, at its initial position.
+chain, at its initial position, and ``model.transform`` once per
+sampling iteration, mapping every row to its kept draw.
 
-A chain's state is one mutable ``ChainState``: position, log density,
-gradient, inverse metric and RNG. ``init_chain`` builds it and
-``transition`` advances a list of them in place, so warmup and sampling
-are two loops over ``transition``. The state never leaves this module.
+The chains' state is one mutable ``ChainRows``: positions, log
+densities, gradients and inverse metrics as (B, ·) arrays, one row per
+chain, and one RNG per row. ``init_rows`` builds it and ``transition``
+passes its arrays to the trajectory call as they are and copies
+accepted rows in place, so warmup and sampling are two loops over
+``transition``. The state never leaves this module.
 """
 
 from __future__ import annotations
@@ -97,74 +100,74 @@ class _DualAveraging:
 
 
 @dataclass
-class ChainState:
-    """Where one chain stands: position, log density and gradient there,
-    diagonal inverse mass matrix and the chain's own RNG substream."""
+class ChainRows:
+    """Where the chains stand, one row each: positions (B, dim), log
+    densities (B,) and gradients (B, dim) there, diagonal inverse mass
+    matrices (B, dim) and each row's own RNG substream."""
 
     theta: np.ndarray
-    lp: float
+    lp: np.ndarray
     grad: np.ndarray
     inv_mass: np.ndarray
-    rng: np.random.Generator
+    rngs: list
 
 
-def init_chain(model, seed_seq) -> ChainState:
-    """A chain at the model's initial position under a unit metric."""
-    rng = np.random.default_rng(seed_seq)
-    theta = model.initial_position(rng)
-    lp, grad = model.logp_grad(theta)
-    if not math.isfinite(lp):
-        raise NonFiniteLogp("log density not finite at the initial position")
-    return ChainState(theta, lp, grad, np.ones(model.dim), rng)
+def init_rows(models, seed_seqs) -> ChainRows:
+    """Row r at ``models[r]``'s initial position, drawn from the seed
+    sequence ``seed_seqs[r]``, under a unit metric."""
+    rngs = [np.random.default_rng(s) for s in seed_seqs]
+    theta = np.array([m.initial_position(rng) for m, rng in zip(models, rngs)])
+    lp, grad = np.empty(len(rngs)), np.empty_like(theta)
+    for r, model in enumerate(models):
+        lp[r], grad[r] = model.logp_grad(theta[r])
+        if not math.isfinite(lp[r]):
+            raise NonFiniteLogp("log density not finite at the initial position")
+    return ChainRows(theta, lp, grad, np.ones_like(theta), rngs)
 
 
 def _energy(lp, p, inv_mass):
     return -lp + 0.5 * float(np.dot(p * p, inv_mass))
 
 
-def _trajectory(model, states, p, eps, n_steps):
-    """model.trajectory from the states' positions, one row per state."""
-    return model.trajectory(
-        np.array([st.theta for st in states]), p,
-        np.array([st.grad for st in states]), eps, n_steps,
-        np.array([st.inv_mass for st in states]))
-
-
-def transition(model, states, eps, n_steps):
-    """One HMC transition of n_steps jittered leapfrog steps for every
-    chain, with eps its step sizes; ``model`` is the chains' model, or
-    the ``ModelRows`` of their fits' models. An accepted proposal replaces
-    that chain's position. Each chain draws its jitter and momentum from
-    its own RNG before the one trajectory call. Returns (accept_prob,
-    divergent) per chain; a divergent transition draws no accept uniform."""
-    eps = [e * (1.0 + STEP_JITTER * (2.0 * st.rng.random() - 1.0))
-           for e, st in zip(eps, states)]
-    p0 = np.array([st.rng.standard_normal(len(st.theta)) / np.sqrt(st.inv_mass)
-                   for st in states])
-    theta1, p1, lp1, grad1 = _trajectory(model, states, p0, eps, n_steps)
+def transition(model, s: ChainRows, eps, n_steps):
+    """One HMC transition of n_steps jittered leapfrog steps for every row
+    of ``s`` at step sizes eps, by ``model``: the chains' model or their
+    fits' ``ModelRows``. Each row draws its jitter and momentum from its
+    own RNG before the one trajectory call, and an accepted proposal is
+    copied into its row. Returns (accept_prob, divergent) per row; a
+    divergent transition draws no accept uniform."""
+    eps = [e * (1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0))
+           for e, rng in zip(eps, s.rngs)]
+    p0 = np.array([rng.standard_normal(len(m)) / np.sqrt(m)
+                   for rng, m in zip(s.rngs, s.inv_mass)])
+    theta1, p1, lp1, grad1 = model.trajectory(s.theta, p0, s.grad, eps,
+                                              n_steps, s.inv_mass)
     out = []
-    for b, st in enumerate(states):
-        delta = (_energy(lp1[b], p1[b], st.inv_mass)
-                 - _energy(st.lp, p0[b], st.inv_mass))
+    for b, (rng, inv_mass) in enumerate(zip(s.rngs, s.inv_mass)):
+        delta = (_energy(lp1[b], p1[b], inv_mass)
+                 - _energy(s.lp[b], p0[b], inv_mass))
         if not math.isfinite(delta) or delta > DIVERGENCE_ENERGY:
             out.append((0.0, True))
             continue
         accept_prob = 1.0 if delta <= 0.0 else math.exp(-delta)
-        if st.rng.random() < accept_prob:
-            st.theta, st.lp, st.grad = theta1[b], float(lp1[b]), grad1[b]
+        if rng.random() < accept_prob:
+            s.theta[b], s.lp[b], s.grad[b] = theta1[b], lp1[b], grad1[b]
         out.append((accept_prob, False))
     return out
 
 
-def _find_initial_step(model, state: ChainState):
-    """Double/halve a unit step until the one-step acceptance crosses 1/2."""
-    p = state.rng.standard_normal(len(state.theta)) / np.sqrt(state.inv_mass)
-    h0 = _energy(state.lp, p, state.inv_mass)
+def _find_initial_step(model, s: ChainRows, r):
+    """Double/halve a unit step until row r's one-step acceptance
+    crosses 1/2; ``model`` is row r's own."""
+    row = slice(r, r + 1)
+    p = s.rngs[r].standard_normal(s.theta.shape[1]) / np.sqrt(s.inv_mass[r])
+    h0 = _energy(s.lp[r], p, s.inv_mass[r])
     eps, direction = 1.0, 0.0
     for _ in range(65):  # a unit-step probe, then up to 64 doublings/halvings
         eps *= 2.0 ** direction
-        _, p1, lp1, _ = _trajectory(model, [state], p[None], [eps], 1)
-        h1 = _energy(lp1[0], p1[0], state.inv_mass)
+        _, p1, lp1, _ = model.trajectory(s.theta[row], p[None], s.grad[row],
+                                         [eps], 1, s.inv_mass[row])
+        h1 = _energy(lp1[0], p1[0], s.inv_mass[r])
         delta = h0 - h1 if math.isfinite(h1) else -math.inf
         if not direction:
             direction = 1.0 if delta > math.log(0.5) else -1.0
@@ -192,41 +195,42 @@ def _run_chains(models, cfg: SamplerConfig, seeds):
     model r // n, with n = ``cfg.n_chains``."""
     n = cfg.n_chains
     row_models = [model for model in models for _ in range(n)]
-    states = [init_chain(model, s)
-              for model, s in zip(row_models, itertools.chain(*seeds))]
-    das = [_DualAveraging(_find_initial_step(model, st), cfg.target_accept)
-           for model, st in zip(row_models, states)]
+    s = init_rows(row_models, itertools.chain(*seeds))
+    das = [_DualAveraging(_find_initial_step(model, s, r), cfg.target_accept)
+           for r, model in enumerate(row_models)]
     rows = models[0] if len(models) == 1 else ModelRows(models, n)
     window_ends = _adaptation_schedule(cfg.warmup)  # non-empty: warmup >= 200
-    windows = [[] for _ in states]
+    window = []
     for m in range(1, cfg.warmup + 1):
-        steps = transition(rows, states, [math.exp(da.log_eps) for da in das],
+        steps = transition(rows, s, [math.exp(da.log_eps) for da in das],
                            cfg.leapfrog_steps)
         for da, (aprob, _) in zip(das, steps):
             da.update(aprob)
         # the initial and terminal buffers adapt the step size only
         if INIT_BUFFER < m <= window_ends[-1]:
-            for window, st in zip(windows, states):
-                window.append(st.theta)  # transition replaces, never mutates
+            window.append(s.theta.copy())
         if m in window_ends:
-            for r, (window, st) in enumerate(zip(windows, states)):
-                k = len(window)
-                var = np.asarray(window).var(axis=0, ddof=1)
-                st.inv_mass = k / (k + 5.0) * var + 1e-3 * (5.0 / (k + 5.0))
-                das[r] = _DualAveraging(_find_initial_step(row_models[r], st),
+            k, window = len(window), np.array(window)
+            for r, model in enumerate(row_models):
+                # per row: var over (k, B, 1) would sum in another order
+                var = window[:, r].var(axis=0, ddof=1)
+                s.inv_mass[r] = k / (k + 5.0) * var + 1e-3 * (5.0 / (k + 5.0))
+                das[r] = _DualAveraging(_find_initial_step(model, s, r),
                                         cfg.target_accept)
-            windows = [[] for _ in states]
+            window = []
 
     eps = [math.exp(da.log_eps_bar) for da in das]
     kept = [np.empty((n, cfg.draws, len(model.param_names)))
             for model in models]
-    divergences, accept_sum = [0] * len(states), [0.0] * len(states)
+    divergences, accept_sum = [0] * len(s.rngs), [0.0] * len(s.rngs)
     for i in range(cfg.draws):
-        steps = transition(rows, states, eps, cfg.leapfrog_steps)
-        for r, (st, (aprob, divergent)) in enumerate(zip(states, steps)):
+        steps = transition(rows, s, eps, cfg.leapfrog_steps)
+        for r, (aprob, divergent) in enumerate(steps):
             divergences[r] += divergent
             accept_sum[r] += aprob
-            kept[r // n][r % n, i] = row_models[r].transform(st.theta)
+        draws = rows.transform(s.theta)
+        for j, k in enumerate(kept):
+            k[:, i] = draws[j * n:(j + 1) * n]
     stats = [{"step_size": e, "mean_accept": a / cfg.draws, "divergences": d}
              for e, a, d in zip(eps, accept_sum, divergences)]
     return [(k, stats[i * n:(i + 1) * n]) for i, k in enumerate(kept)]

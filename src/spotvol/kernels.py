@@ -7,9 +7,10 @@ log density, so interior steps skip the terms that feed it alone. One
 body (``_eval``) holds the density and gradient arithmetic, over B rows
 at once: the integrator moves all chains of a fit, or of several fits of
 one model kind and length, as the rows of one (B, dim) array, and the
-one-point ``sv_logp_grad`` is its B = 1 call. The data (y, its squared
-residual, ybar and the design) are one model's, shared by every row, or
-per row: (B, T), (B, T), (B, 1) and (B, T, k).
+one-point ``sv_logp_grad`` is its B = 1 call; ``sv_transform`` maps the
+rows to the reporting scale through the same AR(1) path solve. The data
+(y, its squared residual, ybar and the design) are one model's, shared
+by every row, or per row: (B, T), (B, T), (B, 1) and (B, T, k).
 
 Most of a step at the model's usual sizes is the fixed cost of its numpy
 and BLAS calls, which B rows pay once instead of B times. Each row rounds
@@ -58,14 +59,6 @@ import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-
-__all__ = [
-    "sv_logp_grad",
-    "sv_trajectory",
-    "sv_h_path",
-    "sq_resid",
-    "EMPTY_DESIGN",
-]
 
 EMPTY_DESIGN = np.zeros((0, 0))
 
@@ -361,9 +354,16 @@ def sv_trajectory(theta, p, grad, eps, n_steps, inv_mass, y, ybar, Z, r_sq,
     return th.copy(), q.copy(), np.array(lp), s.grad.copy()
 
 
-def sv_h_path(mu, phi, sigma, u):
-    """Latent log-volatility path h for one parameter draw."""
-    u = np.asarray(u, dtype=np.float64)[None]
-    h = np.empty(u.shape)
-    return _h_from_u(u, sigma, math.sqrt(1.0 - phi * phi), mu, h, h[:, :1],
-                     h[:0, -1], np.full((2, u.shape[1]), -phi, order="F"))[0]
+def sv_transform(theta, T, k, cache):
+    """The rows of the (B, dim) theta on the constrained scale: phi =
+    tanh(phi_raw), sigma = exp(sigma_raw) and the path h from them in place
+    of u. T, k and ``cache`` are as for ``sv_trajectory``'s data and cache."""
+    s = _scratch(cache, *theta.shape, T, k)
+    out = theta.copy()
+    out[:, 1], out[:, 2] = np.tanh(theta[:, 1]), np.exp(theta[:, 2])
+    s.cols[:] = [v for mu, phi, sigma in out[:, :3].tolist()
+                 for v in (mu, sigma, math.sqrt(1.0 - phi * phi), -phi)]
+    s.band_inner[:] = s.neg_phi
+    out[:, -T:] = _h_from_u(theta[:, -T:], s.sigma, s.f, s.mu, s.h,
+                            s.h_first, s.h_edge, s.band)
+    return out

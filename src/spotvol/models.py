@@ -10,9 +10,10 @@ sampling scale to the constrained reporting scale.
 The sampler sees a model through ``initial_position``, ``logp_grad`` (once
 per chain, at its start), ``trajectory`` (every leapfrog trajectory of
 all chains at once, one chain per row, run by the kernel's integrator) and
-``transform``. ``ModelRows`` stacks the data of several models of one kind
-and length, so that one ``trajectory`` call moves the chains of all their
-fits.
+``transform`` (all chains' kept draws of an iteration at once, on the
+kernel's buffers). ``ModelRows`` stacks the data of several models of one
+kind and length, so that one ``trajectory`` call moves the chains of all
+their fits; its ``transform`` reads no model data but the sizes.
 """
 
 from __future__ import annotations
@@ -102,22 +103,15 @@ class BaselineSvModel:
 
     def initial_position(self, rng) -> np.ndarray:
         theta = np.zeros(self.dim)
-        theta[:self._h_offset()] = 0.1 * rng.standard_normal(self._h_offset())
+        off = self.dim - self.T  # the scalars and coefficients before u
+        theta[:off] = 0.1 * rng.standard_normal(off)
         return theta
 
     def transform(self, theta) -> np.ndarray:
-        """Unconstrained vector -> constrained parameter vector."""
-        out = np.empty(len(self.param_names))
-        out[0] = theta[0]
-        out[1] = np.tanh(theta[1])
-        out[2] = np.exp(theta[2])
-        off = self._h_offset()
-        out[3:off] = theta[3:off]
-        out[off:] = kernels.sv_h_path(theta[0], out[1], out[2], theta[off:])
-        return out
-
-    def _h_offset(self) -> int:
-        return 3 + (self.n_coef + 1 if self.n_coef else 0)
+        """Unconstrained rows (B, dim) -> constrained parameter rows; see
+        ``kernels.sv_transform``."""
+        return kernels.sv_transform(theta, self.y.shape[-1],
+                                    self.design.shape[-1], self._kernel_cache)
 
     # -- bookkeeping for prediction ----------------------------------------
 
@@ -180,8 +174,9 @@ class ModelRows:
         self.design = stack([m.design for m in models])
         self._kernel_cache = {}
 
-    # a model's own call, which reads the stacked data through self
+    # a model's own calls, which read the stacked data through self
     trajectory = BaselineSvModel.trajectory
+    transform = BaselineSvModel.transform
 
 
 def build_model(family: str, y: PriceSeries,

@@ -114,17 +114,19 @@ def adf_test(y, max_lags: int | None = None, alpha: float = 0.05) -> AdfResult:
         max_lags = int(12.0 * (n / 100.0) ** 0.25)
     max_lags = max(0, min(max_lags, (n - 1) // 2 - 2))
 
-    # lag selection on the common trimmed sample
-    best = (math.inf, 0)
-    for k in range(max_lags + 1):
-        X, target = _adf_design(y, k, max_lags)
-        _, resid, _ = _qr_lstsq(X, target)
-        nobs = len(target)
-        ssr = float(resid @ resid)
-        aic = nobs * math.log(ssr / nobs) + 2.0 * (k + 2)
-        if aic < best[0]:
-            best = (aic, k)
-    k = best[1]
+    # lag selection on the common trimmed sample. With the constant moved
+    # to column 1, order k's design is the first k + 2 columns of the
+    # widest one, so one QR gives every order's SSR: the widest fit's plus
+    # the squared Q'target entries that the order leaves out
+    X, target = _adf_design(y, max_lags, max_lags)
+    X = X[:, np.r_[0, max_lags + 1, 1:max_lags + 1]]
+    q, r = _qr(X)
+    qty = q.T @ target
+    resid = target - X @ np.linalg.solve(r, qty)
+    ssr, nobs = float(resid @ resid), len(target)
+    aic = [nobs * math.log((ssr + tail) / nobs) + 2.0 * (k + 2) for k, tail
+           in enumerate(np.cumsum(qty[:1:-1] ** 2)[::-1].tolist() + [0.0])]
+    k = aic.index(min(aic))
 
     X, target = _adf_design(y, k, k)
     beta, resid, r = _qr_lstsq(X, target)

@@ -373,13 +373,24 @@ def test_malformed_config_fails_fast(tmp_path, capsys):
     ("diagnose", {"diagnose": {"pd_grid_size": 0}}),
     ("synth", {"synth": {**SYNTH, "zone": 3}}),
     ("cv", {"cv": {**base_config(Path("out"))["cv"], "max_workers": "x"}}),
+    ("cv", {"cv": {**base_config(Path("out"))["cv"],
+                   "combinations": [{"zone": 3}]}}),
+    ("cv", {"cv": {**base_config(Path("out"))["cv"],
+                   "combinations": [{"hour": 14.7}]}}),
+    ("fit", {"sampler": {"chains": 2.9}}),
+    ("fit", {"fit": {"train_days": 150.9}}),
+    ("fit", {"seed": True}),
+    ("diagnose", {"diagnose": {"adf_max_lags": -1}}),
 ])
 def test_malformed_config_values_reported(workspace, tmp_path, capsys,
                                           command, override):
-    # real data and fit, so that only the override can fail the command
+    # real data and fit, so that only the override can fail the command;
+    # zone 3's prices are zone 1's, so that a zone out of range is caught
+    # by its bound rather than by a missing file
     _, out, _ = workspace
     cfg = {**base_config(tmp_path / "out"),
-           "data": {"prices": {1: str(out / "prices.csv")},
+           "data": {"prices": {1: str(out / "prices.csv"),
+                               3: str(out / "prices.csv")},
                     "weather": {1: str(out / "weather.csv")}},
            **override}
     argv = [command, "-c", str(write_config(tmp_path, cfg))]

@@ -14,7 +14,7 @@ from spotvol.errors import (
     NonFiniteLogp,
     TooFewDraws,
 )
-from spotvol.hmc import SamplerConfig, init_chain, transition
+from spotvol.hmc import SamplerConfig, init_rows, transition
 from spotvol.posterior import summarize_draws
 from tests.conftest import fast_sampler, leapfrog_rows
 
@@ -158,30 +158,32 @@ def test_chains_independent_of_batch_composition(baseline_truth):
 def test_transition_divergent_keeps_state():
     model = GaussianTarget(np.eye(3))
     seed_seq = np.random.SeedSequence(3)
-    state = init_chain(model, seed_seq)
-    theta, lp, grad = state.theta.copy(), state.lp, state.grad.copy()
-    assert transition(model, [state], [1e6], 4) == [(0.0, True)]
-    assert np.array_equal(state.theta, theta)
-    assert state.lp == lp
-    assert np.array_equal(state.grad, grad)
+    rows = init_rows([model], [seed_seq])
+    theta, lp, grad = rows.theta.copy(), rows.lp.copy(), rows.grad.copy()
+    assert transition(model, rows, [1e6], 4) == [(0.0, True)]
+    assert np.array_equal(rows.theta, theta)
+    assert np.array_equal(rows.lp, lp)
+    assert np.array_equal(rows.grad, grad)
     # the initial position, then one jitter uniform and dim momentum
     # normals; a divergent transition draws no accept uniform
     ref = np.random.default_rng(seed_seq)
     model.initial_position(ref)
     ref.random()
     ref.standard_normal(model.dim)
-    assert state.rng.bit_generator.state == ref.bit_generator.state
+    assert rows.rngs[0].bit_generator.state == ref.bit_generator.state
 
 
 class ForwardingProxy:
     """Forwards every attribute to a model, with the exact ``trajectory``
-    signature of e2ebench's tracing proxy; counts kernel calls, and rows
-    times steps as the leapfrog steps of all trajectories."""
+    signature of e2ebench's tracing proxy; counts kernel calls, rows
+    times steps as the leapfrog steps of all trajectories, and transform
+    calls."""
 
     def __init__(self, model):
         self._model = model
         self.logp_grad_callers = []
         self.steps = 0
+        self.transforms = 0
 
     def __getattr__(self, name):
         return getattr(self._model, name)
@@ -194,6 +196,10 @@ class ForwardingProxy:
         self.steps += len(theta) * n_steps
         return self._model.trajectory(theta, p, grad, eps, n_steps, inv_mass)
 
+    def transform(self, theta):
+        self.transforms += 1
+        return self._model.transform(theta)
+
 
 def test_sampler_calls_model_through_trajectory(baseline_truth):
     model = BaselineSvModel(baseline_truth.daily_prices.window(0, 60))
@@ -201,9 +207,11 @@ def test_sampler_calls_model_through_trajectory(baseline_truth):
     proxy = ForwardingProxy(model)
     assert np.array_equal(sample(proxy, cfg, seed=5).draws,
                           sample(model, cfg, seed=5).draws)
-    assert proxy.logp_grad_callers == ["init_chain"] * cfg.n_chains
+    assert proxy.logp_grad_callers == ["init_rows"] * cfg.n_chains
     assert proxy.steps >= (cfg.n_chains * (cfg.warmup + cfg.draws)
                            * cfg.leapfrog_steps)
+    # every chain's kept draw of an iteration from one call
+    assert proxy.transforms == cfg.draws
 
 
 def test_max_workers_is_ignored(baseline_truth):

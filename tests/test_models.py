@@ -11,7 +11,7 @@ from spotvol import (
     SvxModel,
     raw_coefficients,
 )
-from spotvol.models import build_model
+from spotvol.models import ModelRows, build_model
 from spotvol.errors import (
     ConstantColumn,
     InsufficientData,
@@ -103,7 +103,7 @@ def test_transform_reconstructs_h(svx_y, svx_frame):
     model = SvxModel(svx_y, svx_frame)
     rng = np.random.default_rng(2)
     theta = 0.3 * rng.standard_normal(model.dim)
-    out = model.transform(theta)
+    [out] = model.transform(theta[None])
     mu, phi, sigma = out[0], out[1], out[2]
     assert phi == pytest.approx(math.tanh(theta[1]))
     assert sigma == pytest.approx(math.exp(theta[2]))
@@ -112,6 +112,27 @@ def test_transform_reconstructs_h(svx_y, svx_frame):
     assert h[0] == pytest.approx(mu + sigma * u[0] / math.sqrt(1 - phi ** 2))
     for t in (1, 7, model.T - 1):
         assert h[t] == pytest.approx(mu + phi * (h[t - 1] - mu) + sigma * u[t])
+
+
+@pytest.mark.parametrize("family", ["baseline", "svx"])
+def test_row_transform_equals_one_row_transform(svx_y, svx_frame, family):
+    """The rows' transform, through the model and through ``ModelRows``,
+    equals each row's one-row transform bit for bit at B = 1, 2 and 4.
+    Row 1's path ends at inf, so wherever a row follows it the AR(1)
+    solve over the rows laid end to end falls back to per-row solves."""
+    model = build_model(family, svx_y.window(0, 60), svx_frame.window(0, 60))
+    rng = np.random.default_rng(21)
+    theta = 0.3 * rng.standard_normal((4, model.dim))
+    theta[1, -1] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [model.transform(row[None])[0] for row in theta]
+        assert np.isinf(alone[1][-1]) and np.isfinite(alone[0]).all()
+        for order in ([0], [1], [0, 1], [1, 0], [0, 1, 2, 3], [3, 1, 2, 0]):
+            for rows in (model, ModelRows([model] * len(order), 1)):
+                out = rows.transform(theta[order])
+                assert out.shape == (len(order), len(model.param_names))
+                for got, r in zip(out, order):
+                    assert got.tobytes() == alone[r].tobytes(), (order, r)
 
 
 def test_standardizer_rejects_constant_column():

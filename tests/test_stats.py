@@ -26,6 +26,7 @@ from spotvol.errors import (
 from spotvol.stats import (
     MwuMethod,
     Stationarity,
+    _adf_design,
     _midranks,
     TAU_C_SMALLP,
     _qr_lstsq,
@@ -99,6 +100,44 @@ def test_adf_constant_shift_invariance():
     b = adf_test(y + 1e4)
     assert abs(a.statistic - b.statistic) < 1e-8
     assert a.n_lags_used == b.n_lags_used
+
+
+def _adf_lag_reference(y, max_lags):
+    """The per-lag AIC search that `adf_test`'s one QR replaced: one fit
+    per candidate lag on the common trimmed sample."""
+    best = (math.inf, 0)
+    for k in range(max_lags + 1):
+        X, target = _adf_design(y, k, max_lags)
+        _, resid, _ = _qr_lstsq(X, target)
+        nobs = len(target)
+        aic = nobs * math.log(float(resid @ resid) / nobs) + 2.0 * (k + 2)
+        if aic < best[0]:
+            best = (aic, k)
+    return best[1]
+
+
+@pytest.mark.parametrize("max_lags", [None, 0, 1, 5, 12, 40])
+def test_adf_lag_search_matches_per_lag_loop(max_lags):
+    for seed in range(25):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(60, 400))
+        phi = rng.uniform(-0.6, 1.0)
+        y = np.empty(n)
+        y[0] = rng.standard_normal()
+        for t in range(1, n):
+            y[t] = phi * y[t - 1] + rng.standard_normal()
+        res = adf_test(y, max_lags)
+        lags = int(12.0 * (n / 100.0) ** 0.25) if max_lags is None else max_lags
+        assert res.n_lags_used == _adf_lag_reference(y, lags), (seed, n, phi)
+
+
+def test_adf_lag_search_at_the_clamp():
+    # a lag bound far past (n - 1) // 2 - 2 searches up to the clamp, as
+    # the per-lag loop does
+    y = np.cumsum(np.random.default_rng(6).standard_normal(300))
+    res = adf_test(y, 10 ** 5)
+    assert res.n_lags_used == _adf_lag_reference(y, (300 - 1) // 2 - 2)
+    assert math.isfinite(res.statistic)
 
 
 def test_adf_conclusion_and_errors():
